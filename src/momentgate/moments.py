@@ -716,9 +716,16 @@ class Jet:
         return out
 
 
-def _jet_entries(c: Jet):
-    # ints become Fractions so that division stays exact
-    return [Fraction(v) if isinstance(v, int) else v for v in c.coefficients]
+def _jet_entries(*jets: Jet) -> list:
+    """The entry lists of the jets. ints become Fractions so that division
+    stays exact; a GaussianRational has no float arithmetic, so one that
+    meets an inexact entry turns every entry into a complex float."""
+    rows = [j.coefficients for j in jets]
+    if not all(j.exact for j in jets) and any(
+        isinstance(v, GaussianRational) for row in rows for v in row
+    ):
+        return [[complex(v) for v in row] for row in rows]
+    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
 
 
 def _require_same_length(a: Jet, b: Jet, where: str) -> None:
@@ -728,7 +735,7 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
 
 def jet_reciprocal(G: Jet) -> Jet:
     """Derivative values of 1/G at 0 by the exact Leibniz recursion."""
-    g = _jet_entries(G)
+    (g,) = _jet_entries(G)
     if g[0] == 0:
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
     h = [1 / g[0]]
@@ -771,14 +778,15 @@ def _binomial_convolution(x: Sequence, y: Sequence) -> list:
 def inversion_coeffs(c: Jet, G: Jet) -> Jet:
     """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0); exact over rationals."""
     _require_same_length(c, G, "inversion_coeffs")
-    h = jet_reciprocal(G).coefficients
-    return Jet(tuple(_binomial_convolution(_jet_entries(c), h)))
+    cs, gs = _jet_entries(c, G)
+    h = jet_reciprocal(Jet(tuple(gs))).coefficients
+    return Jet(tuple(_binomial_convolution(cs, h)))
 
 
 def forward_binomial(b: Jet, G: Jet) -> Jet:
     """c_p = sum_j C(p,j) b_j G^(p-j)(0); inverse of inversion_coeffs."""
     _require_same_length(b, G, "forward_binomial")
-    return Jet(tuple(_binomial_convolution(_jet_entries(b), _jet_entries(G))))
+    return Jet(tuple(_binomial_convolution(*_jet_entries(b, G))))
 
 
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)

@@ -39,6 +39,10 @@ from .numerics import harmonic_number
 # still available through closed forms (big-index path).
 BIG_INDEX_LIMIT = 2_000_000
 
+# derivation trees are walked recursively, down to every derived evaluator;
+# deeper specs are refused at parse time instead of exhausting the stack
+MAX_DERIVED_DEPTH = 64
+
 # ---------------------------------------------------------------------------
 # sequence specs
 # ---------------------------------------------------------------------------
@@ -101,6 +105,10 @@ def spec_to_json(spec: SequenceSpec) -> dict:
 
 def spec_from_json(data: object) -> SequenceSpec:
     """Parse a spec dict; error messages name the offending field."""
+    return _parse_spec(data, 0)
+
+
+def _parse_spec(data: object, depth: int) -> SequenceSpec:
     if not isinstance(data, dict):
         raise ValidationError("spec must be a JSON object")
     kind = data.get("kind")
@@ -138,7 +146,9 @@ def spec_from_json(data: object) -> SequenceSpec:
         op = data.get("op")
         if op not in ("hat", "check", "power", "dc_minorant"):
             raise ValidationError("derived: field 'op' must be hat|check|power|dc_minorant")
-        base = spec_from_json(data.get("base"))
+        if depth >= MAX_DERIVED_DEPTH:
+            raise ValidationError(f"derived: field 'base' nests deeper than {MAX_DERIVED_DEPTH}")
+        base = _parse_spec(data.get("base"), depth + 1)
         if op == "power":
             s = _require_number(data, "s", where="derived")
             if s <= 0:
@@ -218,18 +228,14 @@ def block_profile(spec: SequenceSpec) -> Optional[BlockProfile]:
     """BlockProfile for example38 under hat/check/power wrappers, else None."""
     if isinstance(spec, Example38Spec):
         return BlockProfile(scale=1.0, shift=0.0)
-    if isinstance(spec, DerivedSpec):
+    if isinstance(spec, DerivedSpec) and spec.op in _DERIVATIONS:
         inner = block_profile(spec.base)
         if inner is None:
             return None
-        if spec.op == "power":
-            return BlockProfile(scale=inner.scale * spec.s, shift=inner.shift * spec.s)
-        if spec.op == "hat":
-            return BlockProfile(scale=inner.scale, shift=inner.shift + 1.0)
-        if spec.op == "check":
-            return BlockProfile(scale=inner.scale, shift=inner.shift - 1.0)
-        return None  # dc_minorant: cumulative, no closed block form
-    return None
+        rule = _DERIVATIONS[spec.op]
+        scale = spec.s if rule.scaled else 1.0
+        return BlockProfile(scale=inner.scale * scale, shift=inner.shift * scale + rule.shift)
+    return None  # dc_minorant: cumulative, no closed block form
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +470,36 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
 
     if isinstance(spec, DerivedSpec):
         base = make_sequence(spec.base)
-        if spec.op == "power":
-            return _derive_power(base, spec.s)
-        return {"hat": _derive_hat, "check": _derive_check, "dc_minorant": dc_minorant}[
-            spec.op
-        ](base)
+        if spec.op == "dc_minorant":
+            return dc_minorant(base)
+        return _derive(base, spec.op, spec.s)
 
     raise ValidationError(f"unknown spec object {spec!r}")
+
+
+@dataclass(frozen=True)
+class _Derivation:
+    """An affine derivation op: log m'_p = scale * log m_p + shift * log(p+1),
+    with scale the exponent s when `scaled` (power) and 1 otherwise; log M'
+    takes lgamma(p+1) in place of log(p+1). A certified base passes on
+    `keeps_true`, refutations of `keeps_false` survive, `inverse` cancels it."""
+
+    shift: int
+    scaled: bool
+    keeps_true: tuple[str, ...]
+    keeps_false: tuple[str, ...]
+    inverse: Optional[str] = None
+
+
+_DERIVATIONS = {
+    # all six growth conditions survive M -> hat(M); dc/mg falsity survives
+    # too since both are kept under the inverse (check) direction
+    "hat": _Derivation(+1, False, ("lc", "wlc", "dc", "mg", "nq", "snq"), ("dc", "mg"), "check"),
+    # only (dc) and (mg) are generally kept under M -> check(M)
+    "check": _Derivation(-1, False, ("dc", "mg"), ("dc", "mg"), "hat"),
+    # monotone quotients, (dc), (mg) and gamma > 0 all scale cleanly
+    "power": _Derivation(0, True, ("lc", "dc", "mg", "snq"), ("lc", "dc", "mg")),
+}
 
 
 def derive(seq: WeightSequence, op: str, s: Optional[float] = None) -> WeightSequence:
@@ -479,118 +508,52 @@ def derive(seq: WeightSequence, op: str, s: Optional[float] = None) -> WeightSeq
     check(hat(X)) and hat(check(X)) collapse to X exactly; nested powers
     multiply their exponents.
     """
-    if op == "hat":
-        if isinstance(seq.spec, DerivedSpec) and seq.spec.op == "check":
-            return make_sequence(seq.spec.base)
-        return _derive_hat(seq)
-    if op == "check":
-        if isinstance(seq.spec, DerivedSpec) and seq.spec.op == "hat":
-            return make_sequence(seq.spec.base)
-        return _derive_check(seq)
-    if op == "power":
+    rule = _DERIVATIONS.get(op)
+    if rule is None:
+        raise ValidationError(f"derive: unknown op {op!r} (expected hat|check|power)")
+    if rule.scaled and (s is None or not (s > 0) or not math.isfinite(s)):
+        raise ValidationError("derive: power requires a finite exponent s > 0")
+    inner = seq.spec if isinstance(seq.spec, DerivedSpec) else None
+    if inner is not None and inner.op == rule.inverse:
+        return make_sequence(inner.base)
+    if inner is not None and inner.op == op and rule.scaled:
+        seq, s = make_sequence(inner.base), inner.s * s
+        if s == 1.0:
+            return seq
+    return _derive(seq, op, s)
+
+
+def _affine(
+    f: Optional[Callable[[int], float]], scale: float, shift: int, g: Callable[[float], float]
+):
+    """p -> scale * f(p) + shift * g(p+1), or None without f. hat/check only
+    shift and power only scales; leaving the zero term out keeps each value's
+    bits (adding 0.0 would turn -0.0 into 0.0) and saves one log per term."""
+    if f is None:
+        return None
+    if shift:
+        return lambda p: f(p) + shift * g(p + 1)
+    return lambda p: scale * f(p)
+
+
+def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
+    """The derived sequence for a _DERIVATIONS op, on all three evaluators."""
+    rule = _DERIVATIONS[op]
+    if rule.scaled:
         if s is None or not (s > 0) or not math.isfinite(s):
-            raise ValidationError("derive: power requires a finite exponent s > 0")
-        if isinstance(seq.spec, DerivedSpec) and seq.spec.op == "power":
-            combined = seq.spec.s * s
-            if combined == 1.0:
-                return make_sequence(seq.spec.base)
-            return _derive_power(make_sequence(seq.spec.base), combined)
-        return _derive_power(seq, s)
-    raise ValidationError(f"derive: unknown op {op!r} (expected hat|check|power)")
-
-
-def _propagate(base: WeightSequence, keep_true: tuple[str, ...], keep_false: tuple[str, ...]) -> dict[str, bool]:
-    meta: dict[str, bool] = {}
-    for cond in keep_true:
-        if base.certifies(cond):
-            meta[cond] = True
-    for cond in keep_false:
-        if base.refutes(cond):
-            meta[cond] = False
-    return meta
-
-
-def _derive_hat(base: WeightSequence) -> WeightSequence:
-    # all six growth conditions survive M -> hat(M); dc/mg falsity survives
-    # too since both are kept under the inverse (check) direction
-    meta = _propagate(
-        base, ("lc", "wlc", "dc", "mg", "nq", "snq"), ("dc", "mg")
-    )
-
-    def inc(p: int) -> float:
-        return base.log_m(p) + math.log(p + 1)
-
-    big = None
-    if base._big_fn is not None:
-        base_big = base._big_fn
-
-        def big(p: int) -> float:  # type: ignore[misc]
-            return base_big(p) + math.log(p + 1)
-
-    big_M = None
-    if base._big_M_fn is not None:
-        base_big_M = base._big_M_fn
-
-        def big_M(p: int) -> float:  # type: ignore[misc]
-            return base_big_M(p) + math.lgamma(p + 1)
-
+            raise ValidationError("derived: field 's' must be a finite number > 0")
+        scale, name = s, f"power({base.name},{s:g})"
+    else:
+        scale, s, name = 1.0, None, f"{op}({base.name})"
+    meta = {cond: True for cond in rule.keeps_true if base.certifies(cond)}
+    meta.update({cond: False for cond in rule.keeps_false if base.refutes(cond)})
     return WeightSequence(
-        DerivedSpec("hat", base.spec), inc, big, meta, f"hat({base.name})", big_M_fn=big_M
-    )
-
-
-def _derive_check(base: WeightSequence) -> WeightSequence:
-    # only (dc) and (mg) are generally kept under M -> check(M)
-    meta = _propagate(base, ("dc", "mg"), ("dc", "mg"))
-
-    def inc(p: int) -> float:
-        return base.log_m(p) - math.log(p + 1)
-
-    big = None
-    if base._big_fn is not None:
-        base_big = base._big_fn
-
-        def big(p: int) -> float:  # type: ignore[misc]
-            return base_big(p) - math.log(p + 1)
-
-    big_M = None
-    if base._big_M_fn is not None:
-        base_big_M = base._big_M_fn
-
-        def big_M(p: int) -> float:  # type: ignore[misc]
-            return base_big_M(p) - math.lgamma(p + 1)
-
-    return WeightSequence(
-        DerivedSpec("check", base.spec), inc, big, meta, f"check({base.name})", big_M_fn=big_M
-    )
-
-
-def _derive_power(base: WeightSequence, s: float) -> WeightSequence:
-    if not (s > 0) or not math.isfinite(s):
-        raise ValidationError("derived: field 's' must be a finite number > 0")
-    # monotone quotients, (dc), (mg) and gamma > 0 all scale cleanly
-    meta = _propagate(base, ("lc", "dc", "mg", "snq"), ("lc", "dc", "mg"))
-
-    def inc(p: int) -> float:
-        return s * base.log_m(p)
-
-    big = None
-    if base._big_fn is not None:
-        base_big = base._big_fn
-
-        def big(p: int) -> float:  # type: ignore[misc]
-            return s * base_big(p)
-
-    big_M = None
-    if base._big_M_fn is not None:
-        base_big_M = base._big_M_fn
-
-        def big_M(p: int) -> float:  # type: ignore[misc]
-            return s * base_big_M(p)
-
-    return WeightSequence(
-        DerivedSpec("power", base.spec, s), inc, big, meta,
-        f"power({base.name},{s:g})", big_M_fn=big_M
+        DerivedSpec(op, base.spec, s),
+        _affine(base.log_m, scale, rule.shift, math.log),
+        _affine(base._big_fn, scale, rule.shift, math.log),
+        meta,
+        name,
+        big_M_fn=_affine(base._big_M_fn, scale, rule.shift, math.lgamma),
     )
 
 

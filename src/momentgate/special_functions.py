@@ -93,20 +93,34 @@ class AssocFnQuery:
             raise ValidationError("AssocFnQuery: field 'p_cap' must be an integer >= 2")
 
 
-def _crossover(seq: WeightSequence, log_t: float, p_cap: int) -> int:
-    """Smallest p in [0, p_cap] with log m_p >= log t.
+def _crossover(seq: WeightSequence, log_t: float, cap: int, hint: int = 0) -> Optional[int]:
+    """Smallest p in [0, cap] with log m_p >= log t, or None if there is none.
 
     For log-convex sequences the quotients are nondecreasing, so the
     predicate is monotone and the envelope's increments p -> p+1, equal to
     log t - log m_p, change sign exactly once: the crossover is the argmax.
+    The search gallops from `hint` to bracket the sign change, then bisects.
     Quotients are probed through the closed-form fast path; the +-2 window
-    around the result absorbs any rounding disagreement with the prefix.
+    of _window_max absorbs any rounding disagreement with the prefix.
     """
-    if seq.log_m_fast(0) >= log_t:
-        return 0
-    if seq.log_m_fast(p_cap) < log_t:
-        return p_cap
-    lo, hi = 0, p_cap  # predicate false at lo, true at hi
+    lo = hi = hint
+    step = 1
+    if seq.log_m_fast(hint) >= log_t:
+        while hi > 0:  # gallop down; the predicate holds at hi
+            lo = max(hi - step, 0)
+            if seq.log_m_fast(lo) < log_t:
+                break
+            hi, step = lo, 2 * step
+        else:
+            return 0
+    else:
+        while True:  # gallop up; the predicate fails at lo
+            hi = min(lo + step, cap)
+            if seq.log_m_fast(hi) >= log_t:
+                break
+            if hi >= cap:
+                return None
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if seq.log_m_fast(mid) >= log_t:
@@ -116,11 +130,21 @@ def _crossover(seq: WeightSequence, log_t: float, p_cap: int) -> int:
     return hi
 
 
+def _window_max(seq: WeightSequence, log_t: float, pivot: int, top: int) -> tuple[float, int]:
+    """(max, first argmax) of p log t - log M_p over p >= 0 in [pivot-2, min(pivot+2, top)]."""
+    best_v, best_p = -math.inf, 0
+    for p in range(max(0, pivot - 2), min(top, pivot + 2) + 1):
+        v = p * log_t - seq.log_M_extended(p)
+        if v > best_v:
+            best_v, best_p = v, p
+    return best_v, best_p
+
+
 def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_000) -> tuple[float, int]:
     """(omega_M(t), argmax p) with the sup restricted to 0 <= p <= p_cap.
 
-    Log-convex sequences are handled by binary search on the quotient
-    crossover (with a small safety window); everything else falls back to a
+    Log-convex sequences are handled by a search for the quotient crossover
+    (with a small safety window); everything else falls back to a
     brute-force scan. An argmax pinned at p_cap means the cap truncated the
     sup and is an error.
     """
@@ -130,11 +154,8 @@ def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_0
     log_t = math.log(query.t)
     if seq.certifies("lc"):
         pivot = _crossover(seq, log_t, query.p_cap)
-        best_v, best_p = -math.inf, 0
-        for p in range(max(0, pivot - 2), min(query.p_cap, pivot + 2) + 1):
-            v = p * log_t - seq.log_M_extended(p)
-            if v > best_v:
-                best_v, best_p = v, p
+        pivot = query.p_cap if pivot is None else pivot
+        best_v, best_p = _window_max(seq, log_t, pivot, query.p_cap)
     else:
         if query.p_cap > BRUTE_CAP_LIMIT:
             raise ValidationError(
@@ -165,8 +186,8 @@ def omega_evaluator(
     """Memoized even evaluator t -> omega_seq(scale * |t|).
 
     Non-log-convex sequences go through associated_function with a search cap
-    that grows on demand. Log-convex sequences use a gallop search for the
-    quotient crossover seeded by the previous call's argmax; quadrature nodes
+    that grows on demand. Log-convex sequences gallop to the quotient
+    crossover from the previous call's argmax; quadrature nodes
     arrive clustered, so the crossover rarely moves far between calls. The
     reachable index range ends where closed forms do: sequences without a
     closed-form log M stop at the cumulative evaluation limit, making the
@@ -179,49 +200,26 @@ def omega_evaluator(
     convex = seq.certifies("lc")
     hint = 1
 
-    def envelope_at(p: int, log_u: float) -> float:
-        return p * log_u - seq.log_M_extended(p)
-
-    def convex_value(u: float) -> float:
+    def envelope(u: float) -> Optional[float]:
+        """omega_seq(u), or None when the argmax lies beyond cap_limit."""
         nonlocal hint
-        log_u = math.log(u)
-        # gallop from the previous crossover to bracket the quotient sign change
-        lo, hi = 0, None
-        if seq.log_m_fast(hint) >= log_u:
-            step, h = 1, hint
-            while h > 0:
-                nxt = max(h - step, 0)
-                if seq.log_m_fast(nxt) < log_u:
-                    lo, hi = nxt, h
-                    break
-                h = nxt
-                step *= 2
-            else:
-                lo, hi = 0, 0
-        else:
-            step, h = 1, hint
-            while True:
-                nxt = min(h + step, cap_limit)
-                if seq.log_m_fast(nxt) >= log_u:
-                    lo, hi = h, nxt
-                    break
-                if nxt >= cap_limit:
-                    raise EvaluationError(
-                        f"associated function argmax beyond index {cap_limit} at t = {u:g}"
-                    )
-                h = nxt
-                step *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if seq.log_m_fast(mid) >= log_u:
-                hi = mid
-            else:
-                lo = mid
-        hint = hi
-        best = 0.0
-        for p in range(max(0, hi - 2), hi + 3):
-            best = max(best, envelope_at(p, log_u))
-        return best
+        if convex:
+            log_u = math.log(u)
+            pivot = _crossover(seq, log_u, cap_limit, hint)
+            if pivot is None:
+                return None
+            hint = pivot
+            # 0.0 goes first: the p = 0 term is -0.0 for u < 1, and max keeps
+            # its first argument on ties
+            return max(0.0, _window_max(seq, log_u, pivot, pivot + 2)[0])
+        cap = p_cap
+        while True:
+            try:
+                return associated_function(seq, u, cap)
+            except ValidationError:
+                if cap >= cap_limit:
+                    return None
+                cap = min(cap * 4, cap_limit)
 
     def omega(t: float) -> float:
         nonlocal cache
@@ -231,20 +229,9 @@ def omega_evaluator(
             return hit
         if u == 0.0:
             return 0.0
-        if convex:
-            value = convex_value(u)
-        else:
-            cap = p_cap
-            while True:
-                try:
-                    value = associated_function(seq, u, cap)
-                    break
-                except ValidationError:
-                    if cap >= cap_limit:
-                        raise EvaluationError(
-                            f"associated function argmax beyond index {cap_limit} at t = {u:g}"
-                        )
-                    cap = min(cap * 4, cap_limit)
+        value = envelope(u)
+        if value is None:
+            raise EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
         if len(cache) > 400_000:
             cache = {}
         cache[u] = value

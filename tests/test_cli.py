@@ -78,6 +78,13 @@ def test_analyze_bad_field_named(capsys):
     code, _, err = run(capsys, "analyze", '{"kind":"wat"}')
     assert code == 1
     assert "kind" in err
+    # nesting deep enough to exhaust the stack is refused as a spec error
+    deep = '{"kind":"gevrey","s":1}'
+    for _ in range(600):
+        deep = '{"kind":"derived","op":"hat","base":%s}' % deep
+    code, _, err = run(capsys, "analyze", deep)
+    assert code == 1
+    assert err.count("error:") == 1 and "'base'" in err
 
 
 def test_analyze_missing_file(capsys):

@@ -266,6 +266,23 @@ def test_phase_complex_and_float_branches():
     assert mixed.coefficients == (2 + 0j, -1 + 1j, -1 - 1j)
     assert not mixed.exact
 
+    # a GaussianRational next to a float lifts the plain functions to complex
+    gr_float = Jet((GaussianRational(Fraction(1), Fraction(1)), 0.5))
+    G2 = Jet((Fraction(1), Fraction(2)))
+    lifted = (
+        forward_binomial(gr_float, G2),
+        inversion_coeffs(gr_float, G2),
+        jet_reciprocal(Jet((GaussianRational(Fraction(2), Fraction(0)), 0.5))),
+    )
+    assert lifted[0].coefficients == (1 + 1j, 2.5 + 2j)
+    assert lifted[1].coefficients == (1 + 1j, -1.5 - 2j)
+    assert lifted[2].coefficients == (0.5 + 0j, -0.125 + 0j)
+    assert all(type(v) is complex for jet in lifted for v in jet.coefficients)
+    assert inversion_coeffs(lifted[0], G2).coefficients == (1 + 1j, 0.5 + 0j)
+    # pure-float jets stay real floats
+    floats = forward_binomial(Jet((1.0, 0.5)), Jet((2.0, -1.0)))
+    assert floats.coefficients == (2.0, 0.0) and all(type(v) is float for v in floats.coefficients)
+
 
 @given(
     st.lists(

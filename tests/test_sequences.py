@@ -20,6 +20,7 @@ from momentgate import (
     spec_from_json,
     spec_to_json,
 )
+from momentgate.sequences import MAX_DERIVED_DEPTH
 
 
 def test_gevrey_matches_factorial_powers():
@@ -139,6 +140,12 @@ def test_spec_errors_name_the_field():
         spec_from_json({"kind": "nope"})
     with pytest.raises(ValidationError):
         spec_from_json(["not", "a", "dict"])
+    deep = {"kind": "gevrey", "s": 1.0}
+    for _ in range(MAX_DERIVED_DEPTH):
+        deep = {"kind": "derived", "op": "hat", "base": deep}
+    assert spec_from_json(deep).op == "hat"
+    with pytest.raises(ValidationError, match="'base'"):
+        spec_from_json({"kind": "derived", "op": "check", "base": deep})
 
 
 def test_metadata_certificates():
@@ -161,6 +168,14 @@ def test_derive_hat_and_check_cancel():
     back = derive(hat, "check")
     assert back.spec == base.spec
     assert back.log_M(10) == pytest.approx(base.log_M(10), rel=1e-13)
+    # beyond the prefix the closed forms shift by log(p+1) and log p!
+    check = derive(base, "check")
+    for p in (10**7, 3 * 10**9):
+        lp1, lfac = math.log(p + 1), math.lgamma(p + 1)
+        assert hat.log_m_fast(p) == base.log_m_fast(p) + lp1
+        assert check.log_m_fast(p) == base.log_m_fast(p) - lp1
+        assert hat._big_M_fn(p) == base._big_M_fn(p) + lfac
+        assert check._big_M_fn(p) == base._big_M_fn(p) - lfac
 
 
 def test_derive_power_scales_and_composes():
@@ -170,6 +185,16 @@ def test_derive_power_scales_and_composes():
     # power(power(X, 1/2), 2) collapses back to X
     restored = derive(half, "power", s=2.0)
     assert restored.spec == base.spec
+    # closed forms beyond the prefix scale by s; example38 has no closed log M
+    g = make_sequence(GevreySpec(s=1.5))
+    g_half = derive(g, "power", s=0.5)
+    for p in (10**7, 3 * 10**9):
+        assert half.log_m_fast(p) == 0.5 * base.log_m_fast(p)
+        assert g_half.log_m_fast(p) == 0.5 * g.log_m_fast(p)
+        assert g_half._big_M_fn(p) == 0.5 * g._big_M_fn(p)
+    assert half._big_M_fn is None
+    profile = derive(derive(derive(base, "hat"), "power", s=0.5), "check").block_profile()
+    assert (profile.scale, profile.shift) == (0.5, -0.5)
     with pytest.raises(ValidationError):
         derive(base, "power")
     with pytest.raises(ValidationError):

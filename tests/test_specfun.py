@@ -48,6 +48,11 @@ def test_omega_evaluator_matches_direct_sup():
         assert omega(t) == pytest.approx(max(direct, 0.0), rel=1e-12, abs=1e-12)
     assert omega(0.0) == 0.0
     assert omega(-3.0) == omega(3.0)  # even in t
+    # below t = 1 the p = 0 term is -0.0; the envelope reports +0.0
+    assert math.copysign(1.0, omega(0.3)) == 1.0
+    # galloping from the previous argmax lands on the same envelope value
+    for t in (0.3, 2.0, 40.0, 1e4, 7.5, 1.2):
+        assert omega(t) == associated_function(seq, t)
 
 
 def test_omega_evaluator_scale():
