@@ -24,7 +24,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .sequences import SequenceSpec, make_sequence, spec_from_json
+from .sequences import BIG_INDEX_LIMIT, SequenceSpec, make_sequence, spec_from_json
 from .verdicts import MomentMapReport, classify
 from .verification import SUITES, run_suite
 
@@ -46,6 +46,9 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 64:
             raise ValidationError("config: horizon must be >= 64")
+        # the checks read log m_horizon, i.e. log M up to index horizon + 1
+        if self.horizon >= BIG_INDEX_LIMIT:
+            raise ValidationError(f"config: horizon must be < {BIG_INDEX_LIMIT}")
         if not (self.tol > 0):
             raise ValidationError("config: tol must be > 0")
         if not (self.quad_tol > 0):

@@ -594,10 +594,12 @@ def check_condition(
 ) -> Verdict:
     """Check one growth condition up to the horizon.
 
-    Metadata certainty upgrades a numeric pass to exact_holds; a numeric
-    failure under a metadata certificate is an internal contradiction and
-    raises. A metadata refutation without a numeric witness is reported
-    inconclusive with the analytic note in the diagnostics.
+    Metadata certainty upgrades a numeric result to exact_holds; a numeric
+    failure with a witness under a metadata certificate is an internal
+    contradiction and raises, while a witness-less (horizon-limited)
+    failure leaves the certificate standing. A metadata refutation without
+    a numeric witness is reported inconclusive with the analytic note in the
+    diagnostics.
     """
     if cond not in CONDITIONS:
         raise ValidationError(f"check_condition: unknown condition {cond!r}")
@@ -611,7 +613,7 @@ def check_condition(
     if not trust_metadata:
         return verdict
     if seq.certifies(cond):
-        if status == Status.FAILS:
+        if status == Status.FAILS and witness is not None:
             raise InternalInvariantError(
                 f"{seq.name}: metadata certifies ({cond}) but the numeric check "
                 f"found witness {witness}"

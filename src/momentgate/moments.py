@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from . import numerics
 from .errors import EvaluationError, QuadratureError, ValidationError
@@ -185,6 +184,10 @@ def make_user(
 
 
 def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
+    # imported here: scipy.integrate takes most of the package's import time,
+    # and only moment quadrature needs it
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         v, e = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
@@ -733,11 +736,32 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
         raise ValidationError(f"{where}: jets must have equal length")
 
 
+def _integer_numerators(values: Sequence[Fraction]) -> Tuple[list, int]:
+    """(numerators over the least common denominator d, d)."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def jet_reciprocal(G: Jet) -> Jet:
-    """Derivative values of 1/G at 0 by the exact Leibniz recursion."""
+    """Derivative values of 1/G at 0 by the exact Leibniz recursion.
+
+    When every entry is a Fraction g_k = G_k / D over one common denominator
+    D, the recursion runs over ints: h_n = D H_n / G_0^(n+1) with H_0 = 1 and
+    H_n = -sum_{k=1..n} C(n,k) G_k G_0^(k-1) H_(n-k). Other entries keep
+    their own arithmetic.
+    """
     (g,) = _jet_entries(G)
     if g[0] == 0:
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
+    if all(isinstance(v, Fraction) for v in g):
+        gs, d = _integer_numerators(g)
+        powers = [1]
+        for _ in range(len(gs)):
+            powers.append(powers[-1] * gs[0])
+        hs = [1]
+        for n in range(1, len(gs)):
+            hs.append(-sum(math.comb(n, k) * gs[k] * powers[k - 1] * hs[n - k] for k in range(1, n + 1)))
+        return Jet(tuple(Fraction(d * hn, powers[n + 1]) for n, hn in enumerate(hs)))
     h = [1 / g[0]]
     for n in range(1, len(g)):
         acc = 0
@@ -755,10 +779,8 @@ def _binomial_convolution(x: Sequence, y: Sequence) -> list:
     output is one Fraction. Other entries keep their own arithmetic.
     """
     if all(isinstance(v, Fraction) for v in (*x, *y)):
-        dx = math.lcm(*(v.denominator for v in x))
-        dy = math.lcm(*(v.denominator for v in y))
-        xs = [v.numerator * (dx // v.denominator) for v in x]
-        ys = [v.numerator * (dy // v.denominator) for v in y]
+        xs, dx = _integer_numerators(x)
+        ys, dy = _integer_numerators(y)
         return [
             Fraction(
                 sum(math.comb(p, j) * xs[j] * ys[p - j] for j in range(p + 1)),

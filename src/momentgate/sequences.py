@@ -269,6 +269,9 @@ class WeightSequence:
         # prefix[p] = log M_p; grown strictly sequentially so values never
         # depend on the order or granularity of earlier queries
         self._prefix = array("d", [0.0])
+        # derive() results by (op, s), so a repeated derivation reuses the
+        # prefix the first one materialized
+        self._derived: dict[tuple[str, Optional[float]], WeightSequence] = {}
 
     # -- evaluation --------------------------------------------------------
 
@@ -506,13 +509,24 @@ def derive(seq: WeightSequence, op: str, s: Optional[float] = None) -> WeightSeq
     """Apply hat / check / power(s) to a sequence.
 
     check(hat(X)) and hat(check(X)) collapse to X exactly; nested powers
-    multiply their exponents.
+    multiply their exponents. A repeated (op, s) on the same object returns
+    the same derived object.
     """
     rule = _DERIVATIONS.get(op)
     if rule is None:
         raise ValidationError(f"derive: unknown op {op!r} (expected hat|check|power)")
     if rule.scaled and (s is None or not (s > 0) or not math.isfinite(s)):
         raise ValidationError("derive: power requires a finite exponent s > 0")
+    key = (op, s if rule.scaled else None)
+    hit = seq._derived.get(key)
+    if hit is None:
+        hit = seq._derived[key] = _derive_fresh(seq, op, s)
+    return hit
+
+
+def _derive_fresh(seq: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
+    """derive() for an (op, s) not yet derived from seq."""
+    rule = _DERIVATIONS[op]
     inner = seq.spec if isinstance(seq.spec, DerivedSpec) else None
     if inner is not None and inner.op == rule.inverse:
         return make_sequence(inner.base)

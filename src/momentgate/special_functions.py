@@ -8,19 +8,18 @@ with decay e^(-omega) along the shifted half-plane: log |G(z)| = -4 P(z + i).
 Only the modulus is ever needed downstream, so the harmonic conjugate is
 deliberately not computed.
 
-Quadrature is adaptive around the kernel peak with doubling shells outward;
-tails are truncated once the extrapolated remainder drops below the requested
+Quadrature is adaptive around the kernel peak with doubling shells outward,
+each shell by G7/K15 panels evaluated on whole node arrays; tails are
+truncated once the extrapolated remainder drops below the requested
 tolerance, and a remainder that refuses to shrink raises QuadratureError.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import numerics
 from .conditions import DEFAULT_POLICY, CheckPolicy, check_condition
@@ -180,6 +179,11 @@ def associated_function(seq: WeightSequence, t: float, p_cap: int = 100_000) -> 
     return associated_function_argmax(seq, t, p_cap)[0]
 
 
+def _map_scalar(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """[fn(t) for t in ts] as a float array."""
+    return np.fromiter(map(fn, ts.tolist()), float, count=ts.size)
+
+
 def omega_evaluator(
     seq: WeightSequence, scale: float = 1.0, p_cap: int = 4096
 ) -> Callable[[float], float]:
@@ -192,6 +196,12 @@ def omega_evaluator(
     reachable index range ends where closed forms do: sequences without a
     closed-form log M stop at the cumulative evaluation limit, making the
     Poisson tail handler treat that point as the truncation boundary.
+
+    The returned callable's `many(ts)` evaluates a float array and equals
+    the scalar calls bit for bit. For log-convex sequences, nodes whose +-2
+    window lies inside the materialized prefix find their crossover by
+    np.searchsorted on the prefix quotients; every other node takes the
+    scalar path, which also raises EvaluationError past the reachable range.
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
@@ -237,6 +247,38 @@ def omega_evaluator(
         cache[u] = value
         return value
 
+    # (log M_0..log M_n, log m_0..log m_(n-1)) of the prefix as last seen;
+    # the prefix only ever grows, so its length identifies it
+    tables = (np.zeros(1), np.zeros(0))
+
+    def many(ts: np.ndarray) -> np.ndarray:
+        """omega at every entry of the 1-D array ts."""
+        nonlocal tables
+        ts = np.asarray(ts, dtype=float)
+        if not convex:
+            return _map_scalar(omega, ts)
+        if len(tables[0]) != len(seq._prefix):
+            log_M = seq.log_M_array(len(seq._prefix) - 1)
+            tables = (log_M, np.diff(log_M))
+        log_M, log_m = tables
+        u = scale * np.abs(ts)
+        out = np.zeros(ts.size)  # +0.0 at u == 0
+        live = np.flatnonzero(u)
+        # math.log, not np.log: the two disagree in the last bit on some
+        # arguments, and the scalar path uses math.log
+        log_u = np.fromiter(map(math.log, u[live].tolist()), float, count=live.size)
+        pivot = np.searchsorted(log_m, log_u)  # first p with log m_p >= log u
+        inside = pivot + 2 < len(log_M)
+        p = pivot[inside, None] + np.arange(-2, 3)
+        terms = p * log_u[inside, None] - log_M[np.maximum(p, 0)]
+        terms[p < 0] = -math.inf
+        # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
+        out[live[inside]] = np.maximum(terms.max(axis=1), 0.0) + 0.0
+        for i in live[~inside].tolist():
+            out[i] = omega(float(ts[i]))
+        return out
+
+    omega.many = many
     return omega
 
 
@@ -266,11 +308,127 @@ class PoissonResult:
         )
 
 
-def _quad(f, a: float, b: float) -> tuple[float, float]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        v, e = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=100)
-    return float(v), float(e)
+# G7/K15 on [-1, 1] (QUADPACK qk15, Piessens et al. 1983): the Kronrod
+# abscissae from the outside in; the Gauss points are the odd ones and 0
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
+_KRONROD = np.array(_WGK + _WGK[-2::-1])
+_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+# the degree-14 interpolant through the nodes, evaluated at -1 and +1
+_ENDS = np.array(
+    [
+        [math.prod((e - xk) / (xj - xk) for k, xk in enumerate(_NODES) if k != j) for e in (-1.0, 1.0)]
+        for j, xj in enumerate(_NODES)
+    ]
+)
+
+# per-interval budget and subinterval limit of the scipy.integrate.quad
+# calls this quadrature replaced
+_EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-10, 100
+_EPS50 = 50.0 * np.finfo(float).eps
+
+
+def _evaluate(f, a: np.ndarray, b: np.ndarray, extra: np.ndarray):
+    """f at the nodes of every panel [a_i, b_i] (one row per panel) and at
+    the points `extra`, all in one call of the array function f."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    values = f(np.concatenate(((c[:, None] + h[:, None] * _NODES).ravel(), extra)))
+    cut = a.size * _NODES.size
+    return values[:cut].reshape(a.size, _NODES.size), values[cut:]
+
+
+def _gk15(fv: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray):
+    """Kronrod value and error of each panel from f at its nodes (rows of fv)
+    and at its ends (fa, fb).
+
+    The error is |K15 - G7|, at least 50 eps times the integral of |f|, plus
+    an end term: a kink of the weight in the gap between a panel's outermost
+    node and its end is invisible to the nodes, so the gap is charged with
+    how far f at the end misses the node interpolant there.
+    """
+    h = 0.5 * (b - a)
+    width = np.abs(h)
+    value = fv @ _KRONROD * h
+    err = np.maximum(np.abs(value - fv @ _GAUSS * h), _EPS50 * width * (np.abs(fv) @ _KRONROD))
+    ends = fv @ _ENDS
+    gap = 0.5 * (1.0 - _XGK[0]) * width
+    return value, err + gap * (np.abs(ends[:, 0] - fa) + np.abs(ends[:, 1] - fb))
+
+
+def _integrate(f, intervals: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(value, error) of the integral of the array function f over each
+    interval, by globally adaptive G7/K15 as in QUADPACK's qag.
+
+    An interval is done once its summed error is within
+    max(_EPSABS, _EPSREL * |value|), it has _LIMIT subintervals, or qag's
+    roundoff counters trip. Until then its worst subintervals are bisected,
+    as few as bring the error of the rest within that budget. All intervals
+    share one call of f per level.
+    """
+    n = len(intervals)
+    a = np.array([lo for lo, _ in intervals], dtype=float)
+    b = np.array([hi for _, hi in intervals], dtype=float)
+    fv, ends = _evaluate(f, a, b, np.concatenate((a, b)))
+    fa, fb = ends[:n], ends[n:]
+    value, err = _gk15(fv, a, b, fa, fb)
+    owner = np.arange(n)
+    roundoff1 = np.zeros(n)
+    roundoff2 = np.zeros(n)
+    while True:
+        total = np.bincount(owner, value, minlength=n)
+        err_sum = np.bincount(owner, err, minlength=n)
+        budget = np.maximum(_EPSABS, _EPSREL * np.abs(total))
+        count = np.bincount(owner, minlength=n)
+        open_ = (err_sum > budget) & (count < _LIMIT) & (roundoff1 < 6) & (roundoff2 < 20)
+        if not open_.any():
+            return [(float(v), float(e)) for v, e in zip(total, err_sum)]
+        # worst first within each interval; split while the rest is over budget
+        order = np.lexsort((-err, owner))
+        o = owner[order]
+        first = np.searchsorted(o, np.arange(n))
+        cum = np.cumsum(err[order])
+        worse = cum - err[order] - np.where(first > 0, cum[first - 1], 0.0)[o]
+        rank = np.arange(order.size) - first[o]
+        split = order[open_[o] & (err_sum[o] - worse > budget[o]) & (rank < _LIMIT - count[o])]
+        m = split.size
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        fv, f_mid = _evaluate(f, new_a, new_b, mid)
+        new_fa = np.concatenate((fa[split], f_mid))
+        new_fb = np.concatenate((f_mid, fb[split]))
+        new_value, new_err = _gk15(fv, new_a, new_b, new_fa, new_fb)
+        # qag's roundoff counters: bisections that left the value unchanged
+        # without shrinking the error, and (past 10 subintervals) bisections
+        # that grew it
+        area12 = new_value[:m] + new_value[m:]
+        err12 = new_err[:m] + new_err[m:]
+        o = owner[split]
+        still = (np.abs(value[split] - area12) <= 1e-5 * np.abs(area12)) & (err12 >= 0.99 * err[split])
+        roundoff1 += np.bincount(o, still, minlength=n)
+        roundoff2 += np.bincount(o, (count[o] > 10) & (err12 > err[split]), minlength=n)
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        fa, fb = np.concatenate((fa[keep], new_fa)), np.concatenate((fb[keep], new_fb))
+        owner = np.concatenate((owner[keep], o, o))
+        value = np.concatenate((value[keep], new_value))
+        err = np.concatenate((err[keep], new_err))
 
 
 def poisson_transform(
@@ -284,27 +442,34 @@ def poisson_transform(
     the last two shells; integration stops once that bound falls below
     0.25 * tol * |value|. Exhausting max_shells, or the weight becoming
     unevaluable, with the bound still above tol * |value| raises.
+
+    A weight with a `many(ts)` method (omega_evaluator's has one) is
+    evaluated on whole node arrays; a plain scalar callable is mapped over
+    them.
     """
     pt = as_half_plane_point(z, 0.0, "poisson_transform")
     if not (tol > 0):
         raise ValidationError("poisson_transform: tol must be > 0")
     x, y = pt.x, pt.y
     y_over_pi = y / math.pi
+    many = getattr(omega, "many", None)
+    if many is None:
+        def many(ts: np.ndarray) -> np.ndarray:
+            return _map_scalar(omega, ts)
 
-    def f(t: float) -> float:
+    def f(t: np.ndarray) -> np.ndarray:
         d = t - x
-        return y_over_pi * omega(t) / (d * d + y * y)
+        return y_over_pi * many(t) / (d * d + y * y)
 
     r = max(4.0 * y, 4.0)
-    total, err = _quad(f, x - r, x + r)
+    ((total, err),) = _integrate(f, [(x - r, x + r)])
     prev_shell: Optional[float] = None
     tail_bound = math.inf
     shells = 0
     truncated = False
     while shells < max_shells:
         try:
-            right, e1 = _quad(f, x + r, x + 2.0 * r)
-            left, e2 = _quad(f, x - 2.0 * r, x - r)
+            (right, e1), (left, e2) = _integrate(f, [(x + r, x + 2.0 * r), (x - 2.0 * r, x - r)])
         except EvaluationError:
             truncated = True
             break

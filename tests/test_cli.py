@@ -4,8 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import momentgate
 
 from momentgate.cli import _CSV_FIELDS, RunConfig, main
 from momentgate.errors import ValidationError
@@ -198,3 +203,30 @@ def test_config_flags_reach_report(capsys):
     assert json.loads(out)["horizon"] == 2048
     code, _, err = run(capsys, "analyze", GEVREY25, "--horizon", "16")
     assert code == 1 and "horizon" in err
+
+
+def test_horizon_beyond_index_limit_refused(capsys):
+    # prefixes stop at BIG_INDEX_LIMIT = 2 000 000; the config refuses the
+    # horizon before any work starts
+    code, out, err = run(capsys, "analyze", GEVREY25, "--horizon", "3000000")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "horizon" in err
+
+
+def test_certified_condition_survives_witnessless_failure(capsys):
+    # the numeric (nq) check of gevrey(1e-300) fails at the horizon without a
+    # witness; the constructor certificate stands instead of raising
+    code, out, err = run(capsys, "analyze", '{"kind":"gevrey","s":1e-300}', "--format", "json")
+    assert code in (0, 2)
+    assert "error:" not in err
+    assert json.loads(out)["hypotheses"]["nq"]["status"] == "exact_holds"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.integrate dominates start-up; only moment quadrature imports it
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, momentgate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from momentgate import (
+    DerivedSpec,
+    EvaluationError,
     ExplicitSpec,
     GevreySpec,
+    QGevreySpec,
     QuadratureError,
     ValidationError,
     associated_function,
@@ -145,3 +149,85 @@ def test_g_window_bound_small_set():
         verify_g_window_bound(A, [0.2], tol=1e-6)
     with pytest.raises(ValidationError):
         verify_g_window_bound(A, [], tol=1e-6)
+
+
+ARRAY_OMEGA_SPECS = (
+    GevreySpec(s=1.5),
+    QGevreySpec(q=2.0),
+    # quotients not monotone: not (lc), evaluated by the brute-force sup
+    ExplicitSpec(log_m=(0.4, 0.1, 0.9, 0.6), tail_rule="arithmetic", tail_value=0.5),
+)
+
+
+@pytest.mark.parametrize("spec", ARRAY_OMEGA_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("scale", (1.0, 2.0))
+def test_omega_many_matches_scalar_bit_for_bit(spec, scale):
+    seq = make_sequence(spec)
+    seq.log_M(3000)  # a partial prefix: nodes on both sides of its end
+    omega = omega_evaluator(seq, scale=scale)
+    rng = np.random.default_rng(7)
+    ts = 10.0 ** rng.uniform(-3.0, 15.0, 25_000)
+    ts[::3] *= -1.0
+    ts = np.concatenate((ts, [0.0, -0.0, 1.0, -1.0, 0.5 / scale, 1.0 / scale]))
+    got = omega.many(ts)
+    want = np.array([omega(t) for t in ts.tolist()])
+    # int64 views compare the bits, so -0.0 against +0.0 counts as a mismatch
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if seq.certifies("lc"):
+        # the p = 0 term is -0.0 below u = 1; the envelope reports +0.0
+        assert math.copysign(1.0, omega.many(np.array([0.3 / scale]))[0]) == 1.0
+
+
+def test_omega_many_raises_past_the_reachable_index():
+    # gevrey(1) crosses over near p = t; 2^60 is the closed-form reach
+    omega = omega_evaluator(make_sequence(GevreySpec(s=1.0)))
+    omega.many(np.array([2.0, 1e17]))
+    with pytest.raises(EvaluationError, match="beyond index"):
+        omega.many(np.array([2.0, 1e19]))
+    with pytest.raises(EvaluationError, match="beyond index"):
+        omega(1e19)
+
+
+# (s, scale, z, P) for P[omega_{hat gevrey(s)}(scale |t|)](z) at tol 1e-7,
+# as computed by the scipy.integrate.quad shells this quadrature replaced
+QUAD_PINS = (
+    (1.0, 1.0, complex(-10.0, 0.5), 3.4856495217825105),
+    (1.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 2.8517509998643633),
+    (1.0, 1.0, complex(4.2857142857142865, 3.7142857142857144), 3.42147405847407),
+    (1.0, 2.0, complex(-7.959183673469388, 3.0), 6.33902405852382),
+    (1.0, 2.0, complex(4.2857142857142865, 3.7142857142857144), 5.612954466011974),
+    (2.0, 1.0, complex(-10.0, 0.5), 2.5912969659760647),
+    # a kink of the weight (t = -1) sits in the end gap of a converged panel
+    (2.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 1.9186956484166784),
+    (2.0, 1.0, complex(8.367346938775512, 1.5714285714285714), 2.4678569553581564),
+    (2.0, 2.0, complex(-3.8775510204081636, 0.8571428571428572), 2.394136499887649),
+    (2.0, 2.0, complex(6.326530612244898, 2.642857142857143), 3.602434720481171),
+)
+
+
+def test_poisson_transform_matches_pinned_quad_values():
+    evaluators = {}
+    for s, scale, z, pinned in QUAD_PINS:
+        if (s, scale) not in evaluators:
+            A_hat = derive(make_sequence(GevreySpec(s=s)), "hat")
+            evaluators[s, scale] = omega_evaluator(A_hat, scale=scale)
+        res = poisson_transform(evaluators[s, scale], z, tol=1e-7)
+        assert res.value == pytest.approx(pinned, rel=1e-7), (s, scale, z)
+    # plain scalar weights against their closed forms at tol 1e-8
+    assert poisson_transform(lambda t: 2.5, 0.4 + 1j, tol=1e-8).value == pytest.approx(2.5, rel=1e-8)
+    closed = 0.5 * math.log(2.0) + 2.0 * CATALAN / math.pi
+    res = poisson_transform(lambda t: math.log1p(abs(t)), 1j, tol=1e-8)
+    assert res.value == pytest.approx(closed, rel=1e-8)
+
+
+def test_derive_returns_one_object_per_op():
+    A = make_sequence(GevreySpec(s=2.0))
+    hat = derive(A, "hat")
+    hat.log_M(5000)
+    assert derive(A, "hat") is hat
+    assert derive(A, "power", 0.5) is derive(A, "power", 0.5)
+    assert derive(A, "power", 0.5) is not derive(A, "power", 2.0)
+    assert derive(hat, "check") is derive(hat, "check")
+    fresh = make_sequence(DerivedSpec("hat", GevreySpec(s=2.0)))
+    reused = derive(A, "hat").log_M_array(6000)
+    assert np.array_equal(reused.view(np.int64), fresh.log_M_array(6000).view(np.int64))
