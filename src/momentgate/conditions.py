@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,28 +76,19 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class CheckPolicy:
-    """Tuning constants shared by every checker.
-
-    stab_rtol: running sup at the start of the last quartile must be within
-    this relative distance of the final sup to count as stabilized.
-    growth_factor: monotone last-quartile increase by more than this factor
-    counts as sustained growth (failure).
-    """
-
-    stab_rtol: float = 0.01
-    growth_factor: float = 2.0
-    mg_rise_rtol: float = 0.10
-    series_window_rtol: float = 0.02
-    series_margin: float = 1e-9
-    pointwise_tol: float = 1e-9
-    # windows that disagree but both sit above this multiple of the divergence
-    # threshold still count as convergent (super-power-law decay)
-    clear_margin: float = 1.5
-
-
-DEFAULT_POLICY = CheckPolicy()
+# Thresholds shared by every checker. The running sup at the start of the
+# last quartile must be within STAB_RTOL (relative) of the final sup to count
+# as stabilized; a monotone last-quartile increase by more than GROWTH_FACTOR
+# counts as sustained growth (failure).
+STAB_RTOL = 0.01
+GROWTH_FACTOR = 2.0
+MG_RISE_RTOL = 0.10
+SERIES_WINDOW_RTOL = 0.02
+SERIES_MARGIN = 1e-9
+POINTWISE_TOL = 1e-9
+# windows that disagree but both sit above this multiple of the divergence
+# threshold still count as convergent (super-power-law decay)
+CLEAR_MARGIN = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +136,7 @@ class SeriesReport:
         )
 
 
-def classify_series(
-    log_denominators: np.ndarray, theta: float, policy: CheckPolicy = DEFAULT_POLICY
-) -> SeriesReport:
+def classify_series(log_denominators: np.ndarray, theta: float) -> SeriesReport:
     """Classify sum_p exp(-D_p/theta) from the first len(D) terms.
 
     The composite slope c of D against log(p+1) is fitted on the two halves
@@ -171,17 +160,17 @@ def classify_series(
     w1, w2 = numerics.last_quartile_windows(n)
     c1, _ = numerics.fit_line(x[w1], D[w1])
     c2, _ = numerics.fit_line(x[w2], D[w2])
-    stable = numerics.slopes_stable(c1, c2, policy.series_window_rtol)
+    stable = numerics.slopes_stable(c1, c2, SERIES_WINDOW_RTOL)
     q = slice((3 * n) // 4, n)
     c_fit, b_fit = numerics.fit_line(x[q], D[q])
 
     if stable:
         c = 0.5 * (c1 + c2)
-        kind = "divergent" if c / theta <= 1.0 + policy.series_margin else "convergent"
-    elif min(c1, c2) / theta >= policy.clear_margin:
+        kind = "divergent" if c / theta <= 1.0 + SERIES_MARGIN else "convergent"
+    elif min(c1, c2) / theta >= CLEAR_MARGIN:
         c = min(c1, c2)
         kind = "convergent"
-    elif max(c1, c2) / theta <= 1.0 + policy.series_margin:
+    elif max(c1, c2) / theta <= 1.0 + SERIES_MARGIN:
         c = max(c1, c2)
         kind = "divergent"
     else:
@@ -192,9 +181,9 @@ def classify_series(
     log_total = math.nan
     if kind == "convergent":
         e_t = c_fit / theta
-        if e_t <= 1.0 + policy.series_margin:
+        if e_t <= 1.0 + SERIES_MARGIN:
             e_t = c / theta
-        if e_t > 1.0 + policy.series_margin:
+        if e_t > 1.0 + SERIES_MARGIN:
             log_tail = (
                 -b_fit / theta - (e_t - 1.0) * math.log(n + 1) - math.log(e_t - 1.0)
             )
@@ -266,7 +255,6 @@ def classify_block_series(
     profile: BlockProfile,
     alpha: float,
     beta: float,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> SeriesReport:
     """Blockwise classification of sum (p+1)^(-alpha) m_p^(-1/beta).
 
@@ -299,17 +287,16 @@ def classify_power_series(
     horizon: int,
     alpha: float,
     beta: float,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> SeriesReport:
     """Classify sum_p (p+1)^(-alpha) m_p^(-1/beta), choosing the blockwise
     route for delta-block families and the tail-fit route otherwise."""
     profile = seq.block_profile()
     if profile is not None:
-        return classify_block_series(seq, profile, alpha, beta, policy)
+        return classify_block_series(seq, profile, alpha, beta)
     logm = seq.log_m_array(horizon)
     x = np.log(np.arange(1, horizon + 2, dtype=float))
     D = beta * alpha * x + logm
-    return classify_series(D, beta, policy)
+    return classify_series(D, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +304,28 @@ def classify_power_series(
 # ---------------------------------------------------------------------------
 
 
-def _check_convexity(seq: WeightSequence, horizon: int, policy: CheckPolicy, shifted: bool):
+def _check_convexity(seq: WeightSequence, horizon: int, shifted: bool):
     logm = seq.log_m_array(horizon)
     d = np.diff(logm)
     if shifted:
         d = d + np.log1p(1.0 / np.arange(1, horizon + 1, dtype=float))
     i = int(np.argmin(d))
     diagnostics = {"min_second_difference": float(d[i]), "argmin": i + 1}
-    if d[i] < -policy.pointwise_tol:
+    if d[i] < -POINTWISE_TOL:
         witness = {"p": i + 1, "second_difference": float(d[i])}
         return Status.FAILS, {}, witness, diagnostics
     return Status.HOLDS_AT_HORIZON, {}, None, diagnostics
 
 
-def _check_dc(seq: WeightSequence, horizon: int, policy: CheckPolicy):
+def _check_dc(seq: WeightSequence, horizon: int):
     logm = seq.log_m_array(horizon)
     r = logm / np.arange(1, horizon + 2, dtype=float)
-    stable, sup = numerics.running_sup_stabilized(r, policy.stab_rtol)
-    constants = {"C0": 1.0, "H": math.exp(max(sup, 0.0))}
+    stable, sup = numerics.running_sup_stabilized(r, STAB_RTOL)
+    try:
+        H = math.exp(max(sup, 0.0))
+    except OverflowError:
+        H = math.inf
+    constants = {"C0": 1.0, "H": H}
     diagnostics = {
         "sup_trace": [(int(i), float(np.max(r[:i]))) for i in numerics.geometric_indices(len(r), 16)],
     }
@@ -343,12 +334,12 @@ def _check_dc(seq: WeightSequence, horizon: int, policy: CheckPolicy):
     return Status.INCONCLUSIVE, constants, None, diagnostics
 
 
-def _check_mg(seq: WeightSequence, horizon: int, policy: CheckPolicy):
+def _check_mg(seq: WeightSequence, horizon: int):
     logM = seq.log_M_array(horizon)
     n = np.arange(2, horizon + 1)
     d = logM[n] - logM[n // 2] - logM[(n + 1) // 2]
     r = d / n
-    stable, sup = numerics.running_sup_stabilized(r, policy.stab_rtol)
+    stable, sup = numerics.running_sup_stabilized(r, STAB_RTOL)
     diagnostics = {
         "split_trace": [
             (int(n[i]), float(r[i])) for i in numerics.geometric_indices(len(r), 16) - 1
@@ -367,7 +358,7 @@ def _check_mg(seq: WeightSequence, horizon: int, policy: CheckPolicy):
     monotone = bool(np.all(np.diff(tail) >= -1e-12))
     rise = float(tail[-1] - tail[0])
     scale = max(abs(float(tail[0])), 1e-9)
-    if monotone and rise > policy.mg_rise_rtol * scale:
+    if monotone and rise > MG_RISE_RTOL * scale:
         half = r[: len(r) // 2]
         log_H = max(float(np.max(half)), 0.0)
         excess = d - n * log_H
@@ -392,25 +383,30 @@ def _check_mg(seq: WeightSequence, horizon: int, policy: CheckPolicy):
 # ---------------------------------------------------------------------------
 
 
-def _check_nq(seq: WeightSequence, horizon: int, policy: CheckPolicy):
-    report = classify_power_series(seq, horizon, 1.0, 1.0, policy)
+def _exp(x: float) -> float:
+    """exp(x) by numpy, +inf past the float range without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
+def _check_nq(seq: WeightSequence, horizon: int):
+    report = classify_power_series(seq, horizon, 1.0, 1.0)
     diagnostics = {"series": report.to_json()}
     if report.kind == "convergent":
-        return Status.HOLDS_AT_HORIZON, {"sum": float(np.exp(report.log_total))}, None, diagnostics
+        return Status.HOLDS_AT_HORIZON, {"sum": _exp(report.log_total)}, None, diagnostics
     if report.kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
     return Status.INCONCLUSIVE, {}, None, diagnostics
 
 
-def _sup_decision(
-    values: list[float], policy: CheckPolicy, window: Optional[int] = None
-) -> tuple[str, float]:
-    """Trichotomy on the running sup of a log-domain trace.
+def _sup_verdict(values: list[float], diagnostics: dict, window: Optional[int] = None):
+    """Trichotomy on the running sup of the log-domain trace `values`.
 
     The sup gap between the comparison point and the end decides: within
-    log(1+stab_rtol) it has stabilized (the sup is monotone by construction,
-    so this is the literal last-quartile criterion); beyond log(growth_factor)
-    it exhibits sustained growth; in between, undecided.
+    log(1+STAB_RTOL) it has stabilized (holds, C = the sup; the sup is
+    monotone by construction, so this is the literal last-quartile
+    criterion); beyond log(GROWTH_FACTOR) it exhibits sustained growth
+    (fails); in between, inconclusive.
 
     The comparison point is the start of the last quartile, or `window` steps
     from the end when given. Block-boundary probe lists pass window=2 so the
@@ -427,136 +423,104 @@ def _sup_decision(
     else:
         i0 = max(len(arr) - 1 - window, 0)
     gap = final - float(run[i0])
-    if gap <= math.log1p(policy.stab_rtol):
-        return "stable", final
-    if gap > math.log(policy.growth_factor):
-        return "grew", final
-    return "undecided", final
-
-
-def _sup_series_generic(
-    seq: WeightSequence, horizon: int, policy: CheckPolicy, mode: str, beta: float
-):
-    """Shared engine for (snq) and the beta-parametric condition.
-
-    mode 'snq':  R(p) = m_p * sum_{q>=p} 1/((q+1) m_q)
-    mode 'gamma': R(p) = m_p^(1/beta)/(p+1) * sum_{q>=p} m_q^(-1/beta)
-
-    The suffix sums take the computed terms up to the horizon plus a fitted
-    integral tail; the sup runs over p <= horizon/2.
-    """
-    logm = seq.log_m_array(horizon)
-    x = np.log(np.arange(1, horizon + 2, dtype=float))
-    if mode == "snq":
-        D = x + logm
-        theta = 1.0
-    else:
-        D = logm
-        theta = beta
-    report = classify_series(D, theta, policy)
-    diagnostics = {"series": report.to_json()}
-    if report.kind == "divergent":
-        return Status.FAILS, {}, None, diagnostics
-    if report.kind == "inconclusive":
-        return Status.INCONCLUSIVE, {}, None, diagnostics
-    logt = -D / theta
-    suffix = numerics.logsumexp_suffix(logt)
-    # log_total aggregates from p=0; recover the beyond-horizon tail piece
-    tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)
-    T = np.logaddexp(suffix, tail_piece)
-    half = horizon // 2 + 1
-    if mode == "snq":
-        lR = logm[:half] + T[:half]
-    else:
-        lR = logm[:half] / beta - x[:half] + T[:half]
-    probes = [(int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)]
-    diagnostics["sup_trace"] = probes
-    outcome, log_sup = _sup_decision(list(lR), policy)
-    if outcome == "stable":
-        return Status.HOLDS_AT_HORIZON, {"C": float(np.exp(log_sup))}, None, diagnostics
-    if outcome == "grew":
-        return Status.FAILS, {"sup_so_far": float(np.exp(log_sup))}, None, diagnostics
+    sup = _exp(final)
+    if gap <= math.log1p(STAB_RTOL):
+        return Status.HOLDS_AT_HORIZON, {"C": sup}, None, diagnostics
+    if gap > math.log(GROWTH_FACTOR):
+        return Status.FAILS, {"sup_so_far": sup}, None, diagnostics
     return Status.INCONCLUSIVE, {}, None, diagnostics
 
 
-def _sup_series_block(
-    seq: WeightSequence,
-    profile: BlockProfile,
-    policy: CheckPolicy,
-    mode: str,
-    beta: float,
-):
-    """Blockwise (snq)/(gamma_beta) engine for delta-block families.
-
-    R is probed at dyadic indices plus the block boundaries, with suffix sums
-    assembled from exact direct terms below the cap and closed-form segment
-    integrals above it.
-    """
-    alpha, b = (1.0, 1.0) if mode == "snq" else (0.0, beta)
+def _block_log_suffix(
+    seq: WeightSequence, profile: BlockProfile, alpha: float, beta: float
+) -> Callable[[int], float]:
+    """p -> log sum_{q>=p} (q+1)^(-alpha) m_q^(-1/beta) for a delta-block
+    family: exact direct terms below the cap, closed-form segment integrals
+    above it."""
     cap = BLOCK_DIRECT_CAP
-    series = classify_block_series(seq, profile, alpha, b, policy)
-    if series.divergent:
-        return Status.FAILS, {}, None, {"series": series.to_json()}
-    direct, seg_sums = _block_parts(seq, profile, alpha, b, cap)
+    direct, seg_sums = _block_parts(seq, profile, alpha, beta, cap)
     suffix = numerics.logsumexp_suffix(direct)
     beyond = [s for (_, s) in seg_sums]
     log_beyond = (
         float(np.logaddexp.reduce(np.array(beyond))) if beyond else -math.inf
     )
-
     segments = profile.segments()
 
     def log_T(p: int) -> float:
         if p < cap:
             return float(np.logaddexp(suffix[p], log_beyond))
         parts = []
-        for a, bb, delta in segments:
-            if bb < p:
+        for a, b, delta in segments:
+            if b < p:
                 continue
             left = max(a, p, cap)
-            if left > bb:
+            if left > b:
                 continue
-            parts.append(_segment_log_sum(seq, profile, left, bb, delta, alpha, b))
+            parts.append(_segment_log_sum(seq, profile, left, b, delta, alpha, beta))
         if not parts:
             return -math.inf
         return float(np.logaddexp.reduce(np.array(parts)))
 
-    probe_list: list[int] = [0, 1, 2]
-    v = 4
-    while v < cap:
-        probe_list.append(v)
-        v *= 4
-    for j in range(9):
-        for boundary in (EX38_K[j], EX38_Q[j]):
-            if boundary >= cap:
-                probe_list.append(boundary)
-    probe_list = sorted(set(probe_list))
-
-    lR: list[float] = []
-    for p in probe_list:
-        lm = seq.log_m(p)
-        if mode == "snq":
-            lR.append(lm + log_T(p))
-        else:
-            lR.append(lm / b - math.log(p + 1) + log_T(p))
-    diagnostics = {
-        "sup_trace": [(numerics.index_label(p), r) for p, r in zip(probe_list, lR)],
-        "method": "block",
-        "series": series.to_json(),
-    }
-    outcome, log_sup = _sup_decision(lR, policy, window=2)
-    if outcome == "stable":
-        return Status.HOLDS_AT_HORIZON, {"C": float(np.exp(log_sup))}, None, diagnostics
-    if outcome == "grew":
-        return Status.FAILS, {"sup_so_far": float(np.exp(log_sup))}, None, diagnostics
-    return Status.INCONCLUSIVE, {}, None, diagnostics
+    return log_T
 
 
-def _check_snq(seq: WeightSequence, horizon: int, policy: CheckPolicy):
+def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
+    """Shared engine for (snq) (alpha = beta = 1) and the beta-parametric
+    condition (alpha = 0): the sup over p of
+
+        R(p) = m_p^(1/beta) * (p+1)^(alpha-1) * sum_{q>=p} (q+1)^(-alpha) m_q^(-1/beta)
+
+    Delta-block families probe R at dyadic indices plus the block boundaries,
+    with suffix sums from _block_log_suffix. Otherwise the suffix sums take
+    the computed terms up to the horizon plus a fitted integral tail, and
+    the sup runs over p <= horizon/2.
+    """
     profile = seq.block_profile()
     if profile is not None:
-        return _sup_series_block(seq, profile, policy, "snq", 1.0)
-    return _sup_series_generic(seq, horizon, policy, "snq", 1.0)
+        series = classify_block_series(seq, profile, alpha, beta)
+        if series.divergent:
+            return Status.FAILS, {}, None, {"series": series.to_json()}
+        log_T = _block_log_suffix(seq, profile, alpha, beta)
+        probe_list: list[int] = [0, 1, 2]
+        v = 4
+        while v < BLOCK_DIRECT_CAP:
+            probe_list.append(v)
+            v *= 4
+        for j in range(9):
+            for boundary in (EX38_K[j], EX38_Q[j]):
+                if boundary >= BLOCK_DIRECT_CAP:
+                    probe_list.append(boundary)
+        probe_list = sorted(set(probe_list))
+        lR = [
+            seq.log_m(p) / beta - (1.0 - alpha) * math.log(p + 1) + log_T(p)
+            for p in probe_list
+        ]
+        diagnostics = {
+            "sup_trace": [(numerics.index_label(p), r) for p, r in zip(probe_list, lR)],
+            "method": "block",
+            "series": series.to_json(),
+        }
+        return _sup_verdict(lR, diagnostics, window=2)
+    logm = seq.log_m_array(horizon)
+    x = np.log(np.arange(1, horizon + 2, dtype=float))
+    # bit-exact for alpha = 0 too: log_m_array never holds -0.0
+    D = beta * alpha * x + logm
+    report = classify_series(D, beta)
+    diagnostics = {"series": report.to_json()}
+    if report.kind == "divergent":
+        return Status.FAILS, {}, None, diagnostics
+    if report.kind == "inconclusive":
+        return Status.INCONCLUSIVE, {}, None, diagnostics
+    suffix = numerics.logsumexp_suffix(-D / beta)
+    # log_total aggregates from p=0; recover the beyond-horizon tail piece
+    tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)
+    T = np.logaddexp(suffix, tail_piece)
+    half = horizon // 2 + 1
+    lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T[:half]
+    diagnostics["sup_trace"] = [
+        (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
+    ]
+    return _sup_verdict(list(lR), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +528,12 @@ def _check_snq(seq: WeightSequence, horizon: int, policy: CheckPolicy):
 # ---------------------------------------------------------------------------
 
 _CHECKERS = {
-    "lc": lambda seq, h, pol: _check_convexity(seq, h, pol, shifted=False),
-    "wlc": lambda seq, h, pol: _check_convexity(seq, h, pol, shifted=True),
+    "lc": lambda seq, h: _check_convexity(seq, h, shifted=False),
+    "wlc": lambda seq, h: _check_convexity(seq, h, shifted=True),
     "dc": _check_dc,
     "mg": _check_mg,
     "nq": _check_nq,
-    "snq": _check_snq,
+    "snq": lambda seq, h: _sup_series(seq, h, 1.0, 1.0),
 }
 
 
@@ -589,7 +553,6 @@ def check_condition(
     seq: WeightSequence,
     cond: str,
     horizon: int = 4096,
-    policy: CheckPolicy = DEFAULT_POLICY,
     trust_metadata: bool = True,
 ) -> Verdict:
     """Check one growth condition up to the horizon.
@@ -605,7 +568,7 @@ def check_condition(
         raise ValidationError(f"check_condition: unknown condition {cond!r}")
     if horizon < 8:
         raise ValidationError("check_condition: horizon must be >= 8")
-    status, constants, witness, diagnostics = _CHECKERS[cond](seq, horizon, policy)
+    status, constants, witness, diagnostics = _CHECKERS[cond](seq, horizon)
     warning = _degenerate_warning(seq, horizon)
     if warning:
         diagnostics = {**diagnostics, "warning": warning}
@@ -644,7 +607,6 @@ def check_gamma_beta(
     seq: WeightSequence,
     beta: float,
     horizon: int = 4096,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> Verdict:
     """Check sum_{q>=p} m_q^(-1/beta) <= C*(p+1)*m_p^(-1/beta) up to the horizon.
 
@@ -656,14 +618,6 @@ def check_gamma_beta(
         raise ValidationError("check_gamma_beta: beta must be a finite number > 0")
     if horizon < 64:
         raise ValidationError("check_gamma_beta: horizon must be >= 64")
-    profile = seq.block_profile()
-    if profile is not None:
-        status, constants, witness, diagnostics = _sup_series_block(
-            seq, profile, policy, "gamma", beta
-        )
-    else:
-        status, constants, witness, diagnostics = _sup_series_generic(
-            seq, horizon, policy, "gamma", beta
-        )
+    status, constants, witness, diagnostics = _sup_series(seq, horizon, 0.0, beta)
     diagnostics = {**diagnostics, "beta": beta}
     return Verdict(f"gamma_{beta:g}", status, horizon, constants, witness, diagnostics)

@@ -25,8 +25,6 @@ import numpy as np
 
 from . import numerics
 from .conditions import (
-    CheckPolicy,
-    DEFAULT_POLICY,
     Status,
     check_gamma_beta,
     classify_power_series,
@@ -117,7 +115,6 @@ def gamma_index(
     horizon: int = 4096,
     beta_max: float = 64.0,
     tol: float = 0.05,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> IndexEstimate:
     """Bracket gamma(M) = sup{beta > 0 : the beta-condition holds}.
 
@@ -133,7 +130,7 @@ def gamma_index(
     samples: list[tuple[str, str]] = []
 
     def probe(beta: float) -> Status:
-        v = check_gamma_beta(seq, beta, horizon, policy)
+        v = check_gamma_beta(seq, beta, horizon)
         samples.append((f"beta={beta:g}", v.status.value))
         return v.status
 
@@ -203,7 +200,6 @@ def _omega_series_value(
     horizon: int,
     mu_max: float,
     tol: float,
-    policy: CheckPolicy,
     samples: list[tuple[str, str]],
 ) -> tuple[float, float]:
     """(lower, upper) for the convergence threshold of sum m_p^(-1/mu).
@@ -213,13 +209,13 @@ def _omega_series_value(
     """
     if seq.block_profile() is not None:
         lo, hi = 0.0, mu_max
-        rep = classify_power_series(seq, horizon, 0.0, mu_max, policy)
+        rep = classify_power_series(seq, horizon, 0.0, mu_max)
         samples.append((f"mu={mu_max:g}", rep.kind))
         if rep.kind == "convergent":
             return mu_max, math.inf
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            rep = classify_power_series(seq, horizon, 0.0, mid, policy)
+            rep = classify_power_series(seq, horizon, 0.0, mid)
             samples.append((f"mu={mid:g}", rep.kind))
             if rep.kind == "convergent":
                 lo = mid
@@ -229,7 +225,7 @@ def _omega_series_value(
                 return math.nan, math.nan
         return lo, hi
     logm = seq.log_m_array(horizon)
-    rep = classify_series(logm, 1.0, policy)
+    rep = classify_series(logm, 1.0)
     samples.append(("tail_exponent", f"{rep.exponent:.6g}"))
     if math.isnan(rep.exponent):
         return math.nan, math.nan
@@ -241,7 +237,6 @@ def omega_index(
     horizon: int = 4096,
     tol: float = 0.05,
     mu_max: float = 64.0,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> IndexEstimate:
     """Bracket omega(M) = liminf log(m_p)/log(p).
 
@@ -260,7 +255,7 @@ def omega_index(
     tail = ratios[len(ratios) // 2 :]
     tail_min = min(tail)
     growing = ratios[-1] >= 1.5 * ratios[len(ratios) // 2] and ratios[-1] > mu_max
-    s_lo, s_hi = _omega_series_value(seq, horizon, mu_max, tol, policy, samples)
+    s_lo, s_hi = _omega_series_value(seq, horizon, mu_max, tol, samples)
 
     if growing:
         series_beyond = (not math.isnan(s_lo)) and s_lo >= mu_max

@@ -125,7 +125,7 @@ def two_window_slopes(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def slopes_stable(c1: float, c2: float, rel_tol: float = 0.02) -> bool:
-    """Window agreement test used by the tail-exponent policy."""
+    """Window agreement test used by the tail-exponent fit."""
     scale = max(abs(c1), abs(c2), 1e-3)
     return abs(c1 - c2) <= rel_tol * scale
 

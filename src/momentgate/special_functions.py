@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .conditions import DEFAULT_POLICY, CheckPolicy, check_condition
+from .conditions import check_condition
 from .errors import EvaluationError, QuadratureError, ValidationError
 from .sequences import BIG_INDEX_LIMIT, WeightSequence, derive
 
@@ -52,9 +52,8 @@ class HalfPlanePoint:
         return math.hypot(self.x, self.y)
 
 
-def as_half_plane_point(z, min_y: float, where: str, strict: bool = True) -> HalfPlanePoint:
-    """Coerce a complex number or HalfPlanePoint, enforcing Im z > min_y
-    (or >= min_y when strict is False)."""
+def as_half_plane_point(z, min_y: float, where: str) -> HalfPlanePoint:
+    """Coerce a complex number or HalfPlanePoint, enforcing Im z > min_y."""
     if isinstance(z, HalfPlanePoint):
         pt = z
     elif isinstance(z, complex):
@@ -63,10 +62,8 @@ def as_half_plane_point(z, min_y: float, where: str, strict: bool = True) -> Hal
         pt = HalfPlanePoint(float(z), 0.0)
     else:
         raise ValidationError(f"{where}: expected a point of the half-plane, got {z!r}")
-    ok = pt.y > min_y if strict else pt.y >= min_y
-    if not ok:
-        cmp = ">" if strict else ">="
-        raise ValidationError(f"{where}: requires Im z {cmp} {min_y:g}, got Im z = {pt.y:g}")
+    if not pt.y > min_y:
+        raise ValidationError(f"{where}: requires Im z > {min_y:g}, got Im z = {pt.y:g}")
     return pt
 
 
@@ -170,7 +167,8 @@ def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_0
             f"associated_function: argmax at p_cap = {query.p_cap} for t = {query.t:g}; "
             "p_cap too small"
         )
-    return max(best_v, 0.0), best_p
+    # + 0.0 turns a -0.0 maximum (p = 0 term below t = 1) into +0.0
+    return max(best_v, 0.0) + 0.0, best_p
 
 
 def associated_function(seq: WeightSequence, t: float, p_cap: int = 100_000) -> float:
@@ -184,9 +182,7 @@ def _map_scalar(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, ts.tolist()), float, count=ts.size)
 
 
-def omega_evaluator(
-    seq: WeightSequence, scale: float = 1.0, p_cap: int = 4096
-) -> Callable[[float], float]:
+def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float], float]:
     """Memoized even evaluator t -> omega_seq(scale * |t|).
 
     Non-log-convex sequences go through associated_function with a search cap
@@ -222,7 +218,7 @@ def omega_evaluator(
             # 0.0 goes first: the p = 0 term is -0.0 for u < 1, and max keeps
             # its first argument on ties
             return max(0.0, _window_max(seq, log_u, pivot, pivot + 2)[0])
-        cap = p_cap
+        cap = 4096
         while True:
             try:
                 return associated_function(seq, u, cap)
@@ -503,11 +499,11 @@ def poisson_transform(
 # ---------------------------------------------------------------------------
 
 
-def require_admissible(A: WeightSequence, horizon: int = 256, policy: CheckPolicy = DEFAULT_POLICY) -> None:
+def require_admissible(A: WeightSequence) -> None:
     """The auxiliary sequence must satisfy (wlc) and (nq); anything less
     leaves the Poisson majorant undefined and is rejected."""
     for cond in ("wlc", "nq"):
-        verdict = check_condition(A, cond, horizon=horizon, policy=policy)
+        verdict = check_condition(A, cond, horizon=256)
         if not verdict.affirmative:
             raise ValidationError(
                 f"auxiliary sequence {A.name} must satisfy ({cond}); "

@@ -17,8 +17,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from . import numerics
 from .conditions import (
-    CheckPolicy,
-    DEFAULT_POLICY,
     Status,
     Verdict,
     check_condition,
@@ -108,13 +106,12 @@ def _hypotheses(
     M: WeightSequence,
     A: WeightSequence,
     horizon: int,
-    policy: CheckPolicy,
 ) -> Dict[str, Verdict]:
     out: Dict[str, Verdict] = {}
     for cond in ("lc", "dc", "mg", "nq"):
-        out[cond] = check_condition(M, cond, horizon=horizon, policy=policy)
+        out[cond] = check_condition(M, cond, horizon=horizon)
     for cond in ("wlc", "nq"):
-        out[f"A:{cond}"] = check_condition(A, cond, horizon=horizon, policy=policy)
+        out[f"A:{cond}"] = check_condition(A, cond, horizon=horizon)
     return out
 
 
@@ -135,13 +132,12 @@ _ORIGIN_SUR_HYPS = ("lc", "dc")
 def _injective_from(
     M: WeightSequence,
     horizon: int,
-    policy: CheckPolicy,
     hyps: Dict[str, Verdict],
     name: str,
     hyp_names: Tuple[str, ...],
     citations: Tuple[str, ...],
 ) -> MapVerdict:
-    series = classify_power_series(M, horizon, alpha=0.5, beta=2.0, policy=policy)
+    series = classify_power_series(M, horizon, alpha=0.5, beta=2.0)
     if series.kind == "divergent":
         status = MapStatus.HOLDS
     elif series.kind == "convergent":
@@ -173,14 +169,13 @@ def _injective_from(
 def _surjective_from(
     M: WeightSequence,
     horizon: int,
-    policy: CheckPolicy,
     hyps: Dict[str, Verdict],
     gamma: Optional[IndexEstimate],
     name: str,
     hyp_names: Tuple[str, ...],
     base_citation: str,
 ) -> MapVerdict:
-    g1 = check_gamma_beta(M, 1.0, horizon=horizon, policy=policy)
+    g1 = check_gamma_beta(M, 1.0, horizon=horizon)
     status = _map_status(g1.status)
     citations = [base_citation]
     notes = []
@@ -276,7 +271,6 @@ def _vacuous_pair(hyps: Dict[str, Verdict]) -> Tuple[MapVerdict, MapVerdict]:
 def _origin_pair(
     M: WeightSequence,
     horizon: int,
-    policy: CheckPolicy,
     hyps: Dict[str, Verdict],
     gamma: Optional[IndexEstimate],
 ) -> Tuple[MapVerdict, MapVerdict]:
@@ -285,7 +279,6 @@ def _origin_pair(
     inj = _injective_from(
         M,
         horizon,
-        policy,
         hyps,
         name="origin_injective",
         hyp_names=_ORIGIN_INJ_HYPS,
@@ -294,7 +287,6 @@ def _origin_pair(
     sur = _surjective_from(
         M,
         horizon,
-        policy,
         hyps,
         gamma,
         name="origin_surjective",
@@ -320,7 +312,6 @@ def injectivity_verdict(
     M: Union[SequenceSpec, WeightSequence],
     horizon: int = 4096,
     A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> MapVerdict:
     """Injectivity of the half-line moment mapping.
 
@@ -328,11 +319,10 @@ def injectivity_verdict(
     downgrade the verdict to conditional instead of suppressing it.
     """
     seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon, policy)
+    hyps = _hypotheses(seq, aux, horizon)
     return _injective_from(
         seq,
         horizon,
-        policy,
         hyps,
         name="stieltjes_injective",
         hyp_names=_INJ_HYPS,
@@ -344,7 +334,6 @@ def surjectivity_verdict(
     M: Union[SequenceSpec, WeightSequence],
     horizon: int = 4096,
     A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> MapVerdict:
     """Surjectivity of the half-line moment mapping.
 
@@ -353,12 +342,11 @@ def surjectivity_verdict(
     surjectivity) upgrades the direction flag to a full equivalence.
     """
     seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon, policy)
-    gamma = gamma_index(seq, horizon=horizon, policy=policy)
+    hyps = _hypotheses(seq, aux, horizon)
+    gamma = gamma_index(seq, horizon=horizon)
     return _surjective_from(
         seq,
         horizon,
-        policy,
         hyps,
         gamma,
         name="stieltjes_surjective",
@@ -371,7 +359,6 @@ def origin_verdicts(
     M: Union[SequenceSpec, WeightSequence],
     horizon: int = 4096,
     A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-    policy: CheckPolicy = DEFAULT_POLICY,
 ) -> Tuple[MapVerdict, MapVerdict]:
     """Injectivity and surjectivity of the origin moment mapping.
 
@@ -380,9 +367,9 @@ def origin_verdicts(
     come back vacuously true.
     """
     seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon, policy)
-    gamma = gamma_index(seq, horizon=horizon, policy=policy)
-    return _origin_pair(seq, horizon, policy, hyps, gamma)
+    hyps = _hypotheses(seq, aux, horizon)
+    gamma = gamma_index(seq, horizon=horizon)
+    return _origin_pair(seq, horizon, hyps, gamma)
 
 
 @dataclass(frozen=True)
@@ -455,7 +442,6 @@ def classify(
     spec: Union[SequenceSpec, WeightSequence],
     horizon: int = 4096,
     A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-    policy: CheckPolicy = DEFAULT_POLICY,
     tol: float = 0.05,
 ) -> MomentMapReport:
     """Full report: hypotheses, four verdicts, both indices, citations.
@@ -464,13 +450,12 @@ def classify(
     on both mapping pairs before the report is returned.
     """
     seq, aux = _resolve(spec, A)
-    hyps = _hypotheses(seq, aux, horizon, policy)
-    gamma = gamma_index(seq, horizon=horizon, tol=tol, policy=policy)
-    omega = omega_index(seq, horizon=horizon, tol=tol, policy=policy)
+    hyps = _hypotheses(seq, aux, horizon)
+    gamma = gamma_index(seq, horizon=horizon, tol=tol)
+    omega = omega_index(seq, horizon=horizon, tol=tol)
     injective = _injective_from(
         seq,
         horizon,
-        policy,
         hyps,
         name="stieltjes_injective",
         hyp_names=_INJ_HYPS,
@@ -479,14 +464,13 @@ def classify(
     surjective = _surjective_from(
         seq,
         horizon,
-        policy,
         hyps,
         gamma,
         name="stieltjes_surjective",
         hyp_names=_SUR_HYPS,
         base_citation="Thm 3.5",
     )
-    origin_inj, origin_sur = _origin_pair(seq, horizon, policy, hyps, gamma)
+    origin_inj, origin_sur = _origin_pair(seq, horizon, hyps, gamma)
     extra = []
     for v in (injective, surjective, origin_inj, origin_sur):
         for tag in v.citations:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -220,6 +221,35 @@ def test_certified_condition_survives_witnessless_failure(capsys):
     assert code in (0, 2)
     assert "error:" not in err
     assert json.loads(out)["hypotheses"]["nq"]["status"] == "exact_holds"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind":"gevrey","s":1e300}',
+        '{"kind":"q_gevrey","q":1e300}',
+        '{"kind":"explicit","log_m":[1e300],"tail":{"rule":"arithmetic","step":1}}',
+        '{"kind":"explicit","log_m":[0],"tail":{"rule":"arithmetic","step":1e300}}',
+        '{"kind":"explicit","log_m":[0],"tail":{"rule":"power","exponent":1e300}}',
+        '{"kind":"derived","op":"power","s":1e300,"base":{"kind":"gevrey","s":1}}',
+        '{"kind":"derived","op":"power","s":2.5,"base":{"kind":"example38"}}',
+        '{"kind":"explicit","log_m":[-800],"tail":{"rule":"arithmetic","step":1}}',
+    ],
+    ids=[
+        "gevrey_s_1e300", "q_gevrey_q_1e300", "explicit_log_m_1e300", "explicit_step_1e300",
+        "explicit_exponent_1e300", "power_s_1e300", "power_example38", "explicit_log_m_-800",
+    ],
+)
+def test_analyze_extreme_growth_reports(spec, capsys, tmp_path, monkeypatch):
+    # constants past the float range are reported as inf, without an
+    # OverflowError or a numpy overflow warning
+    monkeypatch.delenv("MOMENTGATE_CACHE_DIR", raising=False)
+    target = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", spec, "--horizon", "256", "--format", "json", "--out", str(target)])
+    assert code in (0, 2)
+    json.loads(target.read_text())
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -54,6 +54,12 @@ def test_omega_evaluator_matches_direct_sup():
     assert omega(-3.0) == omega(3.0)  # even in t
     # below t = 1 the p = 0 term is -0.0; the envelope reports +0.0
     assert math.copysign(1.0, omega(0.3)) == 1.0
+    assert math.copysign(1.0, associated_function(seq, 0.3)) == 1.0
+    # so does the brute-force branch, for a sequence without (lc)
+    bumpy = make_sequence(ExplicitSpec((0.5, 0.2, 0.9), "arithmetic", 0.3))
+    assert math.copysign(1.0, associated_function(bumpy, 0.3)) == 1.0
+    assert math.copysign(1.0, omega_evaluator(bumpy)(0.3)) == 1.0
+    assert math.copysign(1.0, omega_evaluator(bumpy).many(np.array([0.3]))[0]) == 1.0
     # galloping from the previous argmax lands on the same envelope value
     for t in (0.3, 2.0, 40.0, 1e4, 7.5, 1.2):
         assert omega(t) == associated_function(seq, t)
