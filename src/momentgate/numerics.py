@@ -144,22 +144,6 @@ def running_sup_stabilized(values: np.ndarray, rel_tol: float) -> tuple[bool, fl
     return (final - at_q3) <= rel_tol * scale, final
 
 
-def sustained_growth(values: np.ndarray, factor: float) -> bool:
-    """Monotone increase over the last quartile by more than `factor`."""
-    n = len(values)
-    if n < 8:
-        return False
-    tail = values[(3 * n) // 4 :]
-    if len(tail) < 2:
-        return False
-    if not np.all(np.diff(tail) >= -1e-12):
-        return False
-    lo, hi = float(tail[0]), float(tail[-1])
-    if lo <= 0.0:
-        return hi > 0.0 and hi - lo > 1.0
-    return hi / lo > factor
-
-
 def geometric_indices(n: int, count: int = 32) -> np.ndarray:
     """Up to `count` log-spaced integer indices in [1, n], deduplicated."""
     if n < 1:

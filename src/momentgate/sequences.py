@@ -345,7 +345,10 @@ class WeightSequence:
 
         Below `_CLOSED_FORM_AFTER` (or whenever already materialized) this is
         the stored prefix sum; beyond it the constructor closed form is used,
-        which agrees with the prefix up to float rounding.
+        which agrees with the prefix up to float rounding. The value thus
+        depends on how far earlier calls grew the prefix: any change that grows
+        `len(self._prefix)` past what callers asked for (chunked growth, say)
+        moves the bits of everything built on it, gfun included.
         """
         if p < 0:
             raise ValidationError("log_M_extended: p must be >= 0")

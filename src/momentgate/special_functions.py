@@ -198,6 +198,9 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     window lies inside the materialized prefix find their crossover by
     np.searchsorted on the prefix quotients; every other node takes the
     scalar path, which also raises EvaluationError past the reachable range.
+    Values read the prefix wherever it is materialized and the closed form
+    past it, so they depend on earlier calls: any change that grows
+    `len(seq._prefix)` past what callers asked for moves the bits of gfun.
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")

@@ -10,13 +10,13 @@ injective-and-surjective pair is an internal error rather than a report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple, Union
 
 from . import numerics
 from .conditions import (
+    SeriesReport,
     Status,
     Verdict,
     check_condition,
@@ -38,9 +38,6 @@ __all__ = [
     "MapVerdict",
     "MomentMapReport",
     "default_admissible",
-    "injectivity_verdict",
-    "surjectivity_verdict",
-    "origin_verdicts",
     "classify",
 ]
 
@@ -116,43 +113,36 @@ def _hypotheses(
 
 
 def _gate(
-    names: Tuple[str, ...], hyps: Dict[str, Verdict]
-) -> Tuple[Tuple[str, ...], Dict[str, str]]:
-    summary = {k: hyps[k].status.value for k in names}
-    failing = tuple(k for k in names if not hyps[k].affirmative)
-    return failing, summary
+    status: MapStatus, names: Tuple[str, ...], hyps: Dict[str, Verdict]
+) -> Tuple[MapStatus, Tuple[str, ...]]:
+    """Downgrade an evaluated criterion to conditional, with a note, when a
+    hypothesis it leans on is not affirmative."""
+    failing = [k for k in names if not hyps[k].affirmative]
+    if not failing or status is MapStatus.INCONCLUSIVE:
+        return status, ()
+    note = f"criterion evaluated but hypotheses {', '.join(failing)} are not affirmative"
+    return MapStatus.CONDITIONAL, (note,)
 
 
-_INJ_HYPS = ("lc", "dc", "A:wlc", "A:nq")
-_SUR_HYPS = ("lc", "dc", "A:wlc", "A:nq")
+_HALF_LINE_HYPS = ("lc", "dc", "A:wlc", "A:nq")
 _ORIGIN_INJ_HYPS = ("lc", "dc", "nq")
 _ORIGIN_SUR_HYPS = ("lc", "dc")
 
 
 def _injective_from(
-    M: WeightSequence,
-    horizon: int,
+    series: SeriesReport,
     hyps: Dict[str, Verdict],
     name: str,
     hyp_names: Tuple[str, ...],
     citations: Tuple[str, ...],
 ) -> MapVerdict:
-    series = classify_power_series(M, horizon, alpha=0.5, beta=2.0)
     if series.kind == "divergent":
         status = MapStatus.HOLDS
     elif series.kind == "convergent":
         status = MapStatus.FAILS
     else:
         status = MapStatus.INCONCLUSIVE
-    failing, summary = _gate(hyp_names, hyps)
-    notes: Tuple[str, ...] = ()
-    if failing and status is not MapStatus.INCONCLUSIVE:
-        notes = (
-            "criterion evaluated but hypotheses "
-            + ", ".join(failing)
-            + " are not affirmative",
-        )
-        status = MapStatus.CONDITIONAL
+    status, notes = _gate(status, hyp_names, hyps)
     return MapVerdict(
         name=name,
         status=status,
@@ -161,28 +151,27 @@ def _injective_from(
         trace={
             "criterion": "divergence of sum ((p+1) m_p)^(-1/2)",
             "series": series.to_json(),
-            "hypotheses": summary,
+            "hypotheses": {k: hyps[k].status.value for k in hyp_names},
         },
     )
 
 
 def _surjective_from(
-    M: WeightSequence,
-    horizon: int,
+    g1: Verdict,
+    borel_surjective: bool,
     hyps: Dict[str, Verdict],
     gamma: Optional[IndexEstimate],
     name: str,
     hyp_names: Tuple[str, ...],
     base_citation: str,
 ) -> MapVerdict:
-    g1 = check_gamma_beta(M, 1.0, horizon=horizon)
     status = _map_status(g1.status)
     citations = [base_citation]
     notes = []
     mg_ok = hyps["mg"].affirmative
     if mg_ok:
         direction = "equivalence"
-    elif M.metadata.get("borel_surjective"):
+    elif borel_surjective:
         direction = "equivalence"
         citations.append("Rem 4.9")
         notes.append(
@@ -222,21 +211,13 @@ def _surjective_from(
                 f"index bracket [{gamma.lower:g}, {gamma.upper:g}] does not "
                 "corroborate the direct check; trusting the direct check"
             )
-    failing, summary = _gate(hyp_names, hyps)
-    trace["hypotheses"] = summary
-    if failing and status is not MapStatus.INCONCLUSIVE:
-        notes.append(
-            "criterion evaluated but hypotheses "
-            + ", ".join(failing)
-            + " are not affirmative"
-        )
-        status = MapStatus.CONDITIONAL
+    status, gate_notes = _gate(status, hyp_names, hyps)
     return MapVerdict(
         name=name,
         status=status,
         direction=direction,
         citations=tuple(citations),
-        notes=tuple(notes),
+        notes=tuple(notes) + gate_notes,
         trace=trace,
     )
 
@@ -269,24 +250,26 @@ def _vacuous_pair(hyps: Dict[str, Verdict]) -> Tuple[MapVerdict, MapVerdict]:
 
 
 def _origin_pair(
-    M: WeightSequence,
-    horizon: int,
+    series: SeriesReport,
+    g1: Verdict,
+    borel_surjective: bool,
     hyps: Dict[str, Verdict],
     gamma: Optional[IndexEstimate],
 ) -> Tuple[MapVerdict, MapVerdict]:
+    """Origin mapping: the half-line criteria under the origin hypotheses;
+    a log-convex sequence failing (nq) has a trivial domain instead."""
     if hyps["lc"].affirmative and hyps["nq"].status is Status.FAILS:
         return _vacuous_pair(hyps)
     inj = _injective_from(
-        M,
-        horizon,
+        series,
         hyps,
         name="origin_injective",
         hyp_names=_ORIGIN_INJ_HYPS,
         citations=("Thm 4.4",),
     )
     sur = _surjective_from(
-        M,
-        horizon,
+        g1,
+        borel_surjective,
         hyps,
         gamma,
         name="origin_surjective",
@@ -294,82 +277,6 @@ def _origin_pair(
         base_citation="Thm 4.7",
     )
     return inj, sur
-
-
-def _resolve(
-    M: Union[SequenceSpec, WeightSequence],
-    A: Optional[Union[SequenceSpec, WeightSequence]],
-) -> Tuple[WeightSequence, WeightSequence]:
-    seq = M if isinstance(M, WeightSequence) else make_sequence(M)
-    if A is None:
-        aux = default_admissible()
-    else:
-        aux = A if isinstance(A, WeightSequence) else make_sequence(A)
-    return seq, aux
-
-
-def injectivity_verdict(
-    M: Union[SequenceSpec, WeightSequence],
-    horizon: int = 4096,
-    A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-) -> MapVerdict:
-    """Injectivity of the half-line moment mapping.
-
-    Holds exactly when sum ((p+1) m_p)^(-1/2) diverges; hypothesis gaps
-    downgrade the verdict to conditional instead of suppressing it.
-    """
-    seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon)
-    return _injective_from(
-        seq,
-        horizon,
-        hyps,
-        name="stieltjes_injective",
-        hyp_names=_INJ_HYPS,
-        citations=("Thm 3.4",),
-    )
-
-
-def surjectivity_verdict(
-    M: Union[SequenceSpec, WeightSequence],
-    horizon: int = 4096,
-    A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-) -> MapVerdict:
-    """Surjectivity of the half-line moment mapping.
-
-    Decided by the beta = 1 quotient-tail condition, with the index bracket
-    as corroborating evidence only. Moderate growth (or known Borel
-    surjectivity) upgrades the direction flag to a full equivalence.
-    """
-    seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon)
-    gamma = gamma_index(seq, horizon=horizon)
-    return _surjective_from(
-        seq,
-        horizon,
-        hyps,
-        gamma,
-        name="stieltjes_surjective",
-        hyp_names=_SUR_HYPS,
-        base_citation="Thm 3.5",
-    )
-
-
-def origin_verdicts(
-    M: Union[SequenceSpec, WeightSequence],
-    horizon: int = 4096,
-    A: Optional[Union[SequenceSpec, WeightSequence]] = None,
-) -> Tuple[MapVerdict, MapVerdict]:
-    """Injectivity and surjectivity of the origin moment mapping.
-
-    Criteria match the half-line ones; when the quotient condition fails
-    for a log-convex sequence the domain is trivial and both statements
-    come back vacuously true.
-    """
-    seq, aux = _resolve(M, A)
-    hyps = _hypotheses(seq, aux, horizon)
-    gamma = gamma_index(seq, horizon=horizon)
-    return _origin_pair(seq, horizon, hyps, gamma)
 
 
 @dataclass(frozen=True)
@@ -428,14 +335,16 @@ class MomentMapReport:
 _BASE_CITATIONS = ("Thm 3.4", "Thm 3.5", "Cor 3.6", "Thm 4.4", "Thm 4.7", "Cor 4.8")
 
 
-def _enforce_never_bijective(
-    pair_name: str, inj: MapVerdict, sur: MapVerdict, report: dict
-) -> None:
-    if inj.status is MapStatus.HOLDS and sur.status is MapStatus.HOLDS:
-        raise InternalInvariantError(
-            f"{pair_name}: injective and surjective both affirmative, which "
-            f"the never-bijective corollary forbids; trace: {report}"
-        )
+def _enforce_never_bijective(report: MomentMapReport) -> None:
+    for pair_name, inj, sur in (
+        ("stieltjes", report.injective, report.surjective),
+        ("origin", report.origin_injective, report.origin_surjective),
+    ):
+        if inj.status is MapStatus.HOLDS and sur.status is MapStatus.HOLDS:
+            raise InternalInvariantError(
+                f"{pair_name}: injective and surjective both affirmative, which "
+                f"the never-bijective corollary forbids; trace: {report.to_json()}"
+            )
 
 
 def classify(
@@ -446,31 +355,39 @@ def classify(
 ) -> MomentMapReport:
     """Full report: hypotheses, four verdicts, both indices, citations.
 
-    Deterministic and idempotent; the never-bijective invariant is enforced
-    on both mapping pairs before the report is returned.
+    The half-line and origin mappings share their two criteria, the series
+    for injectivity and the beta = 1 check for surjectivity, so each is
+    evaluated once. Deterministic and idempotent; the never-bijective
+    invariant is enforced on both mapping pairs before the report is returned.
     """
-    seq, aux = _resolve(spec, A)
+    seq = spec if isinstance(spec, WeightSequence) else make_sequence(spec)
+    if A is None:
+        aux = default_admissible()
+    else:
+        aux = A if isinstance(A, WeightSequence) else make_sequence(A)
     hyps = _hypotheses(seq, aux, horizon)
     gamma = gamma_index(seq, horizon=horizon, tol=tol)
     omega = omega_index(seq, horizon=horizon, tol=tol)
+    series = classify_power_series(seq, horizon, alpha=0.5, beta=2.0)
+    g1 = check_gamma_beta(seq, 1.0, horizon=horizon)
+    borel = bool(seq.metadata.get("borel_surjective"))
     injective = _injective_from(
-        seq,
-        horizon,
+        series,
         hyps,
         name="stieltjes_injective",
-        hyp_names=_INJ_HYPS,
+        hyp_names=_HALF_LINE_HYPS,
         citations=("Thm 3.4",),
     )
     surjective = _surjective_from(
-        seq,
-        horizon,
+        g1,
+        borel,
         hyps,
         gamma,
         name="stieltjes_surjective",
-        hyp_names=_SUR_HYPS,
+        hyp_names=_HALF_LINE_HYPS,
         base_citation="Thm 3.5",
     )
-    origin_inj, origin_sur = _origin_pair(seq, horizon, hyps, gamma)
+    origin_inj, origin_sur = _origin_pair(series, g1, borel, hyps, gamma)
     extra = []
     for v in (injective, surjective, origin_inj, origin_sur):
         for tag in v.citations:
@@ -490,7 +407,5 @@ def classify(
         omega=omega,
         citations=citations,
     )
-    payload = report.to_json()
-    _enforce_never_bijective("stieltjes", injective, surjective, payload)
-    _enforce_never_bijective("origin", origin_inj, origin_sur, payload)
+    _enforce_never_bijective(report)
     return report

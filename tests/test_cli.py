@@ -260,3 +260,11 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_public_names_all_resolve():
+    # a deletion that leaves a dangling export breaks `from momentgate import *`
+    names = momentgate.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(momentgate, n)]
+    assert missing == []

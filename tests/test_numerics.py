@@ -90,12 +90,6 @@ def test_running_sup_stabilized():
     assert not ok
 
 
-def test_sustained_growth_detects_doubling_tail():
-    vals = np.concatenate([np.full(75, 1.0), np.geomspace(1.0, 16.0, 25)])
-    assert numerics.sustained_growth(vals, 2.0)
-    assert not numerics.sustained_growth(np.full(100, 1.0), 2.0)
-
-
 def test_jsonable_nonfinite_to_strings():
     data = {"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": np.float64(2.0)}
     out = numerics.jsonable(data)

@@ -1,5 +1,6 @@
 """Mapping verdicts: criteria, directions, vacuous and conditional paths."""
 
+import dataclasses
 import json
 import math
 
@@ -7,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentgate import verdicts
 from momentgate import (
     Example38Spec,
     ExplicitSpec,
     GevreySpec,
+    InternalInvariantError,
     MapStatus,
     QGevreySpec,
+    Status,
     classify,
-    default_admissible,
-    injectivity_verdict,
-    make_sequence,
-    origin_verdicts,
-    surjectivity_verdict,
 )
 
 
@@ -84,17 +83,37 @@ def test_non_convex_all_conditional():
     assert any("lc" in note for note in rep.injective.notes)
 
 
-def test_standalone_verdict_helpers_agree_with_classify():
-    M = make_sequence(GevreySpec(s=2.0))
-    A = default_admissible()
-    inj = injectivity_verdict(M, A=A)
-    sur = surjectivity_verdict(M, A=A)
-    oin, osur = origin_verdicts(M, A=A)
-    rep = classify(GevreySpec(s=2.0))
-    assert inj.status is rep.injective.status
-    assert sur.status is rep.surjective.status
-    assert oin.status is rep.origin_injective.status
-    assert osur.status is rep.origin_surjective.status
+def test_classify_evaluates_each_criterion_once(monkeypatch):
+    # the origin pair reuses the half-line series and beta = 1 check
+    calls = []
+    series = verdicts.classify_power_series
+    gamma_beta = verdicts.check_gamma_beta
+
+    def counted_series(seq, horizon, alpha, beta):
+        calls.append(("series", alpha, beta))
+        return series(seq, horizon, alpha=alpha, beta=beta)
+
+    def counted_gamma_beta(seq, beta, horizon):
+        calls.append(("gamma_beta", beta))
+        return gamma_beta(seq, beta, horizon=horizon)
+
+    monkeypatch.setattr(verdicts, "classify_power_series", counted_series)
+    monkeypatch.setattr(verdicts, "check_gamma_beta", counted_gamma_beta)
+    rep = classify(GevreySpec(s=0.5), horizon=256)
+    assert calls.count(("series", 0.5, 2.0)) == 1
+    assert calls.count(("gamma_beta", 1.0)) == 1
+    assert rep.injective.status is MapStatus.HOLDS
+
+    # a beta = 1 check forced to pass makes the stieltjes pair bijective:
+    # the invariant raises and carries the report payload
+    def forced_gamma_beta(seq, beta, horizon):
+        verdict = gamma_beta(seq, beta, horizon=horizon)
+        return dataclasses.replace(verdict, status=Status.HOLDS_AT_HORIZON)
+
+    monkeypatch.setattr(verdicts, "check_gamma_beta", forced_gamma_beta)
+    with pytest.raises(InternalInvariantError, match="never-bijective") as err:
+        classify(GevreySpec(s=0.5), horizon=256)
+    assert "'schema'" in str(err.value)
 
 
 def test_report_json_shape_and_determinism():
