@@ -49,16 +49,19 @@ def warm(seq: WeightSequence) -> bool:
         values = np.load(path)
     except (OSError, ValueError):
         return False
-    if values.ndim != 1 or len(values) <= len(seq._prefix):
+    if values.dtype != np.float64 or values.ndim != 1 or len(values) <= len(seq._prefix):
         return False
     if values[0] != 0.0:
         return False
-    # spot-check increments against the generator before trusting the file
-    n = len(values)
-    for p in (0, n // 2, n - 2):
-        if abs((values[p + 1] - values[p]) - seq._inc_fn(p)) > 1e-9:
-            return False
-    seq._prefix = array("d", values.tolist())
+    # check every increment against the generator before trusting the file
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.diff(values)
+        drift -= seq.inc_array(0, len(values) - 1)
+    if not np.all(np.abs(drift) <= 1e-9):
+        return False
+    prefix = array("d")
+    prefix.frombytes(memoryview(values).cast("B"))
+    seq._prefix = prefix
     return True
 
 

@@ -6,6 +6,7 @@ estimators build their policies on top of these primitives.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -26,6 +27,11 @@ def _table() -> np.ndarray:
     return _harmonic_table
 
 
+def _harmonic_asymptotic(n, log_n):
+    """H_n from its expansion, for a float n or a float array n and log n."""
+    return log_n + EULER_GAMMA + 1.0 / (2.0 * n) - 1.0 / (12.0 * n * n)
+
+
 def harmonic_number(n: int) -> float:
     """H_n = sum_{k=1}^n 1/k; exact summation below the table limit,
     asymptotic expansion (with the Euler-Mascheroni constant) above.
@@ -38,9 +44,36 @@ def harmonic_number(n: int) -> float:
         return float(_table()[n])
     if n < 10**18:
         fn = float(n)
-        return math.log(fn) + EULER_GAMMA + 1.0 / (2.0 * fn) - 1.0 / (12.0 * fn * fn)
+        return _harmonic_asymptotic(fn, math.log(fn))
     # corrections are below 5e-19 here; math.log handles big ints natively
     return math.log(n) + EULER_GAMMA
+
+
+def harmonic_numbers(lo: int, hi: int) -> np.ndarray:
+    """[H_lo, ..., H_(hi-1)], equal to harmonic_number bit for bit. Indices past
+    the harmonic table read the log(p+1) table, which grows to hi."""
+    cut = min(max(lo, HARMONIC_TABLE_LIMIT + 1), hi)
+    out = np.empty(hi - lo)
+    out[: cut - lo] = _table()[lo:cut]
+    if cut < hi:
+        n = np.arange(cut, hi, dtype=float)
+        out[cut - lo :] = _harmonic_asymptotic(n, log_p1(cut - 1, hi - 1))
+    return out
+
+
+# log(p+1) for p = 0, 1, ..., grown on demand to the largest index asked for.
+# Filled by math.log: np.log differs from it in the last bit on some integers
+# (111 of the first 2 M), and the scalar evaluators use math.log.
+_log_p1_table = array("d")
+
+
+def log_p1(lo: int, hi: int, scale: float = 1.0) -> np.ndarray:
+    """[scale * math.log(p + 1) for p in range(lo, hi)] as a fresh float array."""
+    have = len(_log_p1_table)
+    if hi > have:
+        _log_p1_table.extend(map(math.log, range(have + 1, hi + 1)))
+    # the product is a new array, so no view keeps the table from growing
+    return np.frombuffer(_log_p1_table, count=hi)[lo:] * scale
 
 
 def log1mexp(x: float) -> float:

@@ -7,9 +7,14 @@ prefix sum of those increments, so the identity
 
     log_m(p) == log_M(p+1) - log_M(p)
 
-holds exactly (the quotient is read back off the stored prefix). Closed-form
-evaluation is used directly only beyond the materialization limit, where
-cumulative values are not defined and log_M refuses to answer.
+holds exactly (the quotient is read back off the stored prefix). Each family
+supplies its increments for an index range as one array, and the prefix grows
+by one cumulative sum per request. That sum adds in index order from the last
+stored value, so the stored bits equal those of a term-by-term loop, and the
+prefix ends exactly at the requested index, however earlier requests were
+chunked. Closed-form evaluation is used directly only beyond the
+materialization limit, where cumulative values are not defined and log_M
+refuses to answer.
 
 Built-in families:
   gevrey(s)    M_p = p!^s             log m_p = s*log(p+1)
@@ -33,7 +38,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .numerics import harmonic_number
+from .numerics import harmonic_number, harmonic_numbers, log_p1
 
 # log_M / prefix materialization is refused beyond this index; quotients are
 # still available through closed forms (big-index path).
@@ -199,6 +204,22 @@ def example38_log_m(p: int) -> float:
     return total
 
 
+def _example38_inc_array(lo: int, hi: int) -> np.ndarray:
+    """[example38_log_m(p) for p in range(lo, hi)] bit for bit: the same
+    harmonic differences, added block by block where p > k_j."""
+    h = harmonic_numbers(lo, hi)
+    total = 2.0 * h
+    for k, q in zip(EX38_K, EX38_Q):
+        if k + 1 >= hi:
+            break
+        h_k = harmonic_number(k)
+        start = max(k + 1, lo)
+        split = min(max(q + 1, start), hi)  # H_min(q, p) is H_q from here on
+        total[start - lo : split - lo] += h[start - lo : split - lo] - h_k
+        total[split - lo :] += harmonic_number(q) - h_k
+    return total
+
+
 @dataclass(frozen=True)
 class BlockProfile:
     """Power-law description of an example38-derived sequence.
@@ -254,7 +275,7 @@ class WeightSequence:
     def __init__(
         self,
         spec: SequenceSpec,
-        inc_fn: Callable[[int], float],
+        inc_array: Callable[[int, int], np.ndarray],
         big_fn: Optional[Callable[[int], float]],
         metadata: dict[str, bool],
         name: str,
@@ -263,11 +284,15 @@ class WeightSequence:
         self.spec = spec
         self.name = name
         self.metadata = dict(metadata)
-        self._inc_fn = inc_fn
+        # inc_array(lo, hi): a fresh float array of log m_p for lo <= p < hi,
+        # which _ensure sums in place
+        self.inc_array = inc_array
         self._big_fn = big_fn
         self._big_M_fn = big_M_fn
-        # prefix[p] = log M_p; grown strictly sequentially so values never
-        # depend on the order or granularity of earlier queries
+        # prefix[p] = log M_p, grown in chunks whose sums keep the bits of a
+        # term-by-term loop and never past the length callers asked for, so
+        # values depend neither on the order nor on the granularity of
+        # earlier queries (omega values read the length: see log_M_extended)
         self._prefix = array("d", [0.0])
         # derive() results by (op, s), so a repeated derivation reuses the
         # prefix the first one materialized
@@ -276,20 +301,35 @@ class WeightSequence:
     # -- evaluation --------------------------------------------------------
 
     def _ensure(self, count: int) -> None:
-        """Materialize prefix sums so that log_M(p) exists for p < count."""
+        """Materialize prefix sums so that log_M(p) exists for p < count.
+
+        Raises EvaluationError at the first p whose log m_p, or else whose
+        log M_(p+1), is not finite; the finite values before it are kept.
+        """
         if count - 1 > BIG_INDEX_LIMIT:
             raise EvaluationError(
                 f"index {count - 1} exceeds the cumulative evaluation limit {BIG_INDEX_LIMIT}"
             )
         prefix = self._prefix
-        inc_fn = self._inc_fn
-        p = len(prefix) - 1
-        while p < count - 1:
-            v = inc_fn(p)
-            if not math.isfinite(v):
+        lo = len(prefix) - 1
+        if lo >= count - 1:
+            return
+        # overflow to inf is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = self.inc_array(lo, count - 1)
+            # the running sum of [prefix[lo] + inc_lo, inc_lo+1, ...] is
+            # cumsum([prefix[lo], *inc])[1:] term for term: the loop's bits.
+            # prefix[lo] + cumsum(inc) would round differently.
+            sums[0] += prefix[lo]
+            np.cumsum(sums, out=sums)
+            if not math.isfinite(sums[-1]):  # inf and nan never turn finite again
+                bad = int(np.argmin(np.isfinite(sums)))
+                prefix.frombytes(memoryview(sums[:bad]).cast("B"))
+                p = lo + bad
+                if math.isfinite(self.inc_array(p, p + 1)[0]):
+                    raise EvaluationError(f"log M_{p + 1} evaluated to a non-finite value")
                 raise EvaluationError(f"log m_{p} evaluated to a non-finite value")
-            prefix.append(prefix[p] + v)
-            p += 1
+        prefix.frombytes(memoryview(sums).cast("B"))
 
     def log_M(self, p: int) -> float:
         """log M_p. Defined for 0 <= p <= BIG_INDEX_LIMIT."""
@@ -332,9 +372,12 @@ class WeightSequence:
 
     def log_m_array(self, n: int) -> np.ndarray:
         """[log m_0, ..., log m_n] (differences of the same stored prefix)."""
-        self._ensure(n + 2)
-        prefix = np.frombuffer(self._prefix, count=n + 2)
-        return np.diff(prefix)
+        return self._quotients(0, n + 1)
+
+    def _quotients(self, lo: int, hi: int) -> np.ndarray:
+        """[log m_lo, ..., log m_(hi-1)] as differences of the stored prefix."""
+        self._ensure(hi + 1)
+        return np.diff(np.frombuffer(self._prefix, count=hi + 1)[lo:])
 
     # envelope evaluators probe far beyond any horizon; prefer the closed
     # form above this index instead of growing the prefix term by term
@@ -401,7 +444,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
 
         return WeightSequence(
             spec,
-            inc,
+            lambda lo, hi: log_p1(lo, hi, s),
             inc,
             {"lc": True, "mg": True, "snq": True},
             f"gevrey({s:g})",
@@ -420,7 +463,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
 
         return WeightSequence(
             spec,
-            inc,
+            lambda lo, hi: np.arange(2 * lo + 1, 2 * hi + 1, 2) * logq,
             inc,
             {"lc": True, "dc": True, "mg": False, "borel_surjective": True},
             f"q_gevrey({spec.q:g})",
@@ -432,7 +475,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         # (mg) and (snq) by the block construction
         return WeightSequence(
             spec,
-            example38_log_m,
+            _example38_inc_array,
             example38_log_m,
             {"lc": True, "mg": True, "snq": True},
             "example38",
@@ -453,6 +496,8 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
                     raise EvaluationError("arithmetic tail overflows beyond p = 1e15")
                 return last + step * (p - (n - 1))
 
+            tail = lambda lo, hi: np.arange(lo - (n - 1), hi - (n - 1)) * step + last
+
             def big_M(p: int) -> float:
                 if p <= n:
                     return math.fsum(values[:p])
@@ -467,12 +512,18 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
                     return values[p]
                 return c * math.log(p + 1)
 
+            tail = lambda lo, hi: log_p1(lo, hi, c)
+
             def big_M(p: int) -> float:
                 if p <= n:
                     return math.fsum(values[:p])
                 return head_sum + c * (math.lgamma(p + 1) - math.lgamma(n + 1))
 
-        return WeightSequence(spec, inc, inc, {}, f"explicit[{n}]", big_M_fn=big_M)
+        def inc_array(lo: int, hi: int) -> np.ndarray:
+            cut = min(max(lo, n), hi)  # first tail index
+            return np.concatenate((values[lo:cut], tail(cut, hi)))
+
+        return WeightSequence(spec, inc_array, inc, {}, f"explicit[{n}]", big_M_fn=big_M)
 
     if isinstance(spec, DerivedSpec):
         base = make_sequence(spec.base)
@@ -553,6 +604,21 @@ def _affine(
     return lambda p: scale * f(p)
 
 
+def _affine_inc_array(base: WeightSequence, scale: float, shift: int):
+    """_affine over the base's stored quotients, on an index range: the
+    arithmetic of _affine(base.log_m, scale, shift, math.log), in place."""
+
+    def inc_array(lo: int, hi: int) -> np.ndarray:
+        f = base._quotients(lo, hi)
+        if shift:
+            f += log_p1(lo, hi, shift)
+        else:
+            f *= scale
+        return f
+
+    return inc_array
+
+
 def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
     """The derived sequence for a _DERIVATIONS op, on all three evaluators."""
     rule = _DERIVATIONS[op]
@@ -566,7 +632,7 @@ def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence
     meta.update({cond: False for cond in rule.keeps_false if base.refutes(cond)})
     return WeightSequence(
         DerivedSpec(op, base.spec, s),
-        _affine(base.log_m, scale, rule.shift, math.log),
+        _affine_inc_array(base, scale, rule.shift),
         _affine(base._big_fn, scale, rule.shift, math.log),
         meta,
         name,
@@ -585,16 +651,22 @@ def dc_minorant(base: WeightSequence) -> WeightSequence:
     """
     LOG2 = math.log(2.0)
 
-    def inc(p: int) -> float:
-        lp1 = math.log(p + 1)
-        log_a = min((p + 1) * LOG2, lp1 + base.log_m(p))
-        return log_a - lp1
+    def inc_array(lo: int, hi: int) -> np.ndarray:
+        lp1 = log_p1(lo, hi)
+        log_a = np.arange(lo + 1, hi + 1) * LOG2
+        log_pm = base._quotients(lo, hi)
+        log_pm += lp1
+        # min((p+1) log 2, log((p+1) m_p)) with Python min's rule: the second
+        # only when strictly smaller
+        np.copyto(log_a, log_pm, where=log_pm < log_a)
+        log_a -= lp1
+        return log_a
 
     meta: dict[str, bool] = {}
     if base.certifies("wlc") and base.certifies("nq"):
         meta = {"wlc": True, "dc": True, "nq": True}
     return WeightSequence(
-        DerivedSpec("dc_minorant", base.spec), inc, None, meta, f"dc_minorant({base.name})"
+        DerivedSpec("dc_minorant", base.spec), inc_array, None, meta, f"dc_minorant({base.name})"
     )
 
 

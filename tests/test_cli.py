@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import momentgate
@@ -196,6 +197,19 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+def test_cache_rejects_one_corrupt_increment(capsys, tmp_path, monkeypatch):
+    # every increment of a cached prefix is checked, not a few spot indices
+    monkeypatch.setenv("MOMENTGATE_CACHE_DIR", str(tmp_path))
+    code, cold, _ = run(capsys, "analyze", GEVREY25, "--format", "json")
+    assert code == 0
+    (path,) = tmp_path.glob("*.npy")
+    values = np.load(path)
+    values[8:] += 1.0  # log m_7 is off by one, every other increment intact
+    np.save(path, values)
+    code, warm, _ = run(capsys, "analyze", GEVREY25, "--format", "json")
+    assert code == 0 and warm == cold
+
+
 def test_config_flags_reach_report(capsys):
     code, out, _ = run(
         capsys, "analyze", GEVREY25, "--format", "json", "--horizon", "2048"
@@ -250,6 +264,26 @@ def test_analyze_extreme_growth_reports(spec, capsys, tmp_path, monkeypatch):
         code = main(["analyze", spec, "--horizon", "256", "--format", "json", "--out", str(target)])
     assert code in (0, 2)
     json.loads(target.read_text())
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, bad",
+    [
+        # log M_p passes the float range near p = 19 000 while every log m_p
+        # is finite; inf - inf quotients must not reach the report as NaN
+        ('{"kind":"explicit","log_m":[0],"tail":{"rule":"arithmetic","step":1e300}}', "30000", "log M_"),
+        # log m_1 = 1e300 * 1e300 log 2 overflows, with no numpy warning
+        ('{"kind":"derived","op":"power","s":1e300,"base":{"kind":"gevrey","s":1e300}}', "256", "log m_1 "),
+    ],
+    ids=["prefix_overflow", "quotient_overflow"],
+)
+def test_analyze_non_finite_prefix_is_one_error(spec, horizon, bad, capsys, monkeypatch):
+    monkeypatch.delenv("MOMENTGATE_CACHE_DIR", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", spec, "--horizon", horizon, "--format", "json")
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and bad in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

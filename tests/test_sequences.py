@@ -235,3 +235,101 @@ def test_explicit_round_trip_and_prefix(log_m, step):
     assert spec_from_json(spec_to_json(spec)) == spec
     total = math.fsum(seq.log_m(j) for j in range(len(log_m) + 5))
     assert seq.log_M(len(log_m) + 5) == pytest.approx(total, rel=1e-10, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# array growth of the prefix against the term-by-term loop
+
+
+def _reference_prefix(spec, count):
+    """(log M_0 .. log M_(count-1), log m_0 .. log m_(count-2)) by
+    prefix.append(prefix[p] + inc(p)), with each family's scalar increment;
+    derived quotients read the base's reference prefix, as log_m does."""
+    if isinstance(spec, GevreySpec):
+        inc = lambda p: spec.s * math.log(p + 1)
+    elif isinstance(spec, QGevreySpec):
+        logq = math.log(spec.q)
+        inc = lambda p: (2 * p + 1) * logq
+    elif isinstance(spec, Example38Spec):
+        from momentgate.sequences import example38_log_m as inc
+    elif isinstance(spec, ExplicitSpec):
+        values, n = spec.log_m, len(spec.log_m)
+        if spec.tail_rule == "arithmetic":
+            inc = lambda p: values[p] if p < n else values[-1] + spec.tail_value * (p - (n - 1))
+        else:
+            inc = lambda p: values[p] if p < n else spec.tail_value * math.log(p + 1)
+    else:
+        base = _reference_prefix(spec.base, count)[0]
+        log_m = lambda p: base[p + 1] - base[p]
+        if spec.op == "hat":
+            inc = lambda p: log_m(p) + 1 * math.log(p + 1)
+        elif spec.op == "check":
+            inc = lambda p: log_m(p) + -1 * math.log(p + 1)
+        elif spec.op == "power":
+            inc = lambda p: spec.s * log_m(p)
+        else:
+
+            def inc(p):
+                lp1 = math.log(p + 1)
+                return min((p + 1) * math.log(2.0), lp1 + log_m(p)) - lp1
+
+    prefix, incs = [0.0], []
+    for p in range(count - 1):
+        incs.append(inc(p))
+        prefix.append(prefix[p] + incs[p])
+    return prefix, incs
+
+
+_HEAD = tuple(0.25 * math.sin(j) + 1e-3 * j for j in range(40_000))
+_GEVREY = GevreySpec(s=1.5)
+_DC = DerivedSpec("dc_minorant", GevreySpec(s=2.0))
+GROWTH_SPECS = {
+    "gevrey": _GEVREY,
+    "q_gevrey": QGevreySpec(q=1.7),
+    "example38": Example38Spec(),
+    "arith_short_head": ExplicitSpec((0.3, -0.0, 0.7), "arithmetic", 0.01),
+    "arith_long_head": ExplicitSpec(_HEAD, "arithmetic", 0.01),
+    "power_short_head": ExplicitSpec((0.0, 0.5, 1.2, 1.1), "power", 0.8),
+    "power_long_head": ExplicitSpec(_HEAD, "power", 0.8),
+    "hat": DerivedSpec("hat", _GEVREY),
+    "check": DerivedSpec("check", QGevreySpec(q=1.7)),
+    "power": DerivedSpec("power", _GEVREY, s=0.6),
+    "dc_minorant": _DC,
+    "power_hat": DerivedSpec("power", DerivedSpec("hat", _GEVREY), s=0.6),
+    "hat_dc_minorant": DerivedSpec("hat", _DC),
+}
+RAGGED_CHUNKS = (1, 2, 17, 4097, 30_001)
+
+
+@pytest.mark.parametrize("spec", GROWTH_SPECS.values(), ids=GROWTH_SPECS.keys())
+def test_array_growth_matches_sequential_loop(spec):
+    total = 1 + sum(RAGGED_CHUNKS)
+    prefix, incs = _reference_prefix(spec, total)
+    ragged = make_sequence(spec)
+    count = 1
+    for chunk in RAGGED_CHUNKS:
+        count += chunk
+        ragged.log_M(count - 1)
+        assert len(ragged._prefix) == count
+    one_shot = make_sequence(spec)
+    one_shot.log_M(total - 1)
+    assert len(one_shot._prefix) == total
+    want = [v.hex() for v in prefix]
+    assert [v.hex() for v in ragged._prefix] == want
+    assert [v.hex() for v in one_shot._prefix] == want
+    # one-ulp differences in an increment (np.log for math.log, say) can
+    # vanish in the rounding of the sums, so compare the increments too
+    got = one_shot.inc_array(0, total - 1).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in incs]
+
+
+def test_example38_increments_match_scalar_near_block_edges():
+    from momentgate.numerics import HARMONIC_TABLE_LIMIT
+    from momentgate.sequences import BIG_INDEX_LIMIT, EX38_K, EX38_Q, example38_log_m
+
+    seq = make_sequence(Example38Spec())
+    edges = [x for x in EX38_K + EX38_Q if x < BIG_INDEX_LIMIT] + [HARMONIC_TABLE_LIMIT]
+    windows = [(0, 600)] + [(max(0, x - 6), x + 7) for x in edges]
+    for lo, hi in windows:
+        want = [example38_log_m(p).hex() for p in range(lo, hi)]
+        assert [v.hex() for v in seq.inc_array(lo, hi).tolist()] == want
