@@ -51,13 +51,14 @@ def warm(seq: WeightSequence) -> bool:
         return False
     if values.dtype != np.float64 or values.ndim != 1 or len(values) <= len(seq._prefix):
         return False
-    if values[0] != 0.0:
+    # trust only the bits a cold run writes: log M_0 = +0.0 and every later
+    # value is its predecessor plus the generator's increment, exactly as
+    # _ensure sums them; a finite end keeps inf + inc == inf out
+    if values[0] != 0.0 or np.signbit(values[0]) or not np.isfinite(values[-1]):
         return False
-    # check every increment against the generator before trusting the file
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.diff(values)
-        drift -= seq.inc_array(0, len(values) - 1)
-    if not np.all(np.abs(drift) <= 1e-9):
+        expected = values[:-1] + seq.inc_array(0, len(values) - 1)
+    if not np.array_equal(values[1:], expected):
         return False
     prefix = array("d")
     prefix.frombytes(memoryview(values).cast("B"))

@@ -136,61 +136,67 @@ class SeriesReport:
         )
 
 
-def classify_series(log_denominators: np.ndarray, theta: float) -> SeriesReport:
-    """Classify sum_p exp(-D_p/theta) from the first len(D) terms.
-
-    The composite slope c of D against log(p+1) is fitted on the two halves
-    of the last quartile; agreement within series_window_rtol makes the fit
-    stable. Stable fits compare c against theta; unstable fits still decide
-    the clear cases (both slopes far above threshold, or both below).
-    """
-    D = np.asarray(log_denominators, dtype=float)
+def _tail_fit(x: np.ndarray, D: np.ndarray) -> Optional[tuple[float, float, float, float]]:
+    """(c1, c2, c_fit, b_fit): the slopes of D against x = log(p+1) on the two
+    halves of the last quartile, and the line fitted over the whole quartile.
+    None below 16 terms."""
     n = len(D)
-    logt = -D / theta
-    lp = np.logaddexp.accumulate(logt)
-    trace = tuple(
-        (int(i), float(lp[i - 1])) for i in numerics.geometric_indices(n, 24)
-    )
     if n < 16:
-        return SeriesReport(
-            "inconclusive", theta, math.nan, (math.nan, math.nan),
-            float(lp[-1]), math.nan, trace,
-        )
-    x = np.log(np.arange(1, n + 1, dtype=float))
-    w1, w2 = numerics.last_quartile_windows(n)
-    c1, _ = numerics.fit_line(x[w1], D[w1])
-    c2, _ = numerics.fit_line(x[w2], D[w2])
-    stable = numerics.slopes_stable(c1, c2, SERIES_WINDOW_RTOL)
+        return None
+    c1, c2 = numerics.two_window_slopes(x, D)
     q = slice((3 * n) // 4, n)
     c_fit, b_fit = numerics.fit_line(x[q], D[q])
+    return c1, c2, c_fit, b_fit
 
-    if stable:
+
+def _tail_decision(fit, theta: float, n: int) -> tuple[str, float, Optional[float]]:
+    """(kind, exponent, log of the fitted tail beyond n or None) of
+    sum_{p<n} exp(-D_p/theta). Stable fits compare c against theta; unstable
+    fits still decide the clear cases (both slopes far above or below it)."""
+    if fit is None:
+        return "inconclusive", math.nan, None
+    c1, c2, c_fit, b_fit = fit
+    if numerics.slopes_stable(c1, c2, SERIES_WINDOW_RTOL):
         c = 0.5 * (c1 + c2)
         kind = "divergent" if c / theta <= 1.0 + SERIES_MARGIN else "convergent"
     elif min(c1, c2) / theta >= CLEAR_MARGIN:
-        c = min(c1, c2)
-        kind = "convergent"
+        c, kind = min(c1, c2), "convergent"
     elif max(c1, c2) / theta <= 1.0 + SERIES_MARGIN:
-        c = max(c1, c2)
-        kind = "divergent"
+        c, kind = max(c1, c2), "divergent"
     else:
-        return SeriesReport(
-            "inconclusive", theta, math.nan, (c1, c2), float(lp[-1]), math.nan, trace
-        )
+        return "inconclusive", math.nan, None
+    e_t = c_fit / theta
+    if e_t <= 1.0 + SERIES_MARGIN:
+        e_t = c / theta
+    if kind == "divergent" or e_t <= 1.0 + SERIES_MARGIN:
+        return kind, c, None
+    return kind, c, -b_fit / theta - (e_t - 1.0) * math.log(n + 1) - math.log(e_t - 1.0)
 
+
+def classify_series(
+    log_denominators: np.ndarray, theta: float, fit: Optional[tuple] = None, partial: bool = True
+) -> SeriesReport:
+    """Classify sum_p exp(-D_p/theta) from the first len(D) terms.
+
+    The composite slope c of D against log(p+1) is fitted on the two halves
+    of the last quartile; pass `fit` when the caller has it from tail_series.
+    partial=False skips the partial sums: log_partial, log_total and trace are
+    then nan, nan and empty; kind, exponent and windows do not change.
+    """
+    D = np.asarray(log_denominators, dtype=float)
+    n = len(D)
+    if fit is None:
+        fit = _tail_fit(np.log(np.arange(1, n + 1, dtype=float)), D)
+    kind, c, log_tail = _tail_decision(fit, theta, n)
+    windows = (math.nan, math.nan) if fit is None else fit[:2]
+    if not partial:
+        return SeriesReport(kind, theta, c, windows, math.nan, math.nan, ())
+    lp = np.logaddexp.accumulate(-D / theta)
+    trace = tuple((int(i), float(lp[i - 1])) for i in numerics.geometric_indices(n, 24))
     log_total = math.nan
     if kind == "convergent":
-        e_t = c_fit / theta
-        if e_t <= 1.0 + SERIES_MARGIN:
-            e_t = c / theta
-        if e_t > 1.0 + SERIES_MARGIN:
-            log_tail = (
-                -b_fit / theta - (e_t - 1.0) * math.log(n + 1) - math.log(e_t - 1.0)
-            )
-            log_total = float(np.logaddexp(lp[-1], log_tail))
-        else:
-            log_total = float(lp[-1])
-    return SeriesReport(kind, theta, c, (c1, c2), float(lp[-1]), log_total, trace)
+        log_total = float(lp[-1] if log_tail is None else np.logaddexp(lp[-1], log_tail))
+    return SeriesReport(kind, theta, c, windows, float(lp[-1]), log_total, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +299,26 @@ def classify_power_series(
     profile = seq.block_profile()
     if profile is not None:
         return classify_block_series(seq, profile, alpha, beta)
-    logm = seq.log_m_array(horizon)
-    x = np.log(np.arange(1, horizon + 2, dtype=float))
+    _, _, D, fit = tail_series(seq, horizon, alpha, beta)
+    return classify_series(D, beta, fit)
+
+
+def tail_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
+    """(x, log m, D, tail fit of D) for sum_p (p+1)^(-alpha) m_p^(-1/beta), with
+    x = log(p+1) and D = beta*alpha*x + log m for p <= horizon. x, log m and their
+    fit are kept read-only on the sequence for its last horizon."""
+    memo = seq._series_memo
+    if memo is None or memo[0] != horizon:
+        logm = seq.log_m_array(horizon)
+        x = np.log(np.arange(1, horizon + 2, dtype=float))
+        logm.flags.writeable = x.flags.writeable = False
+        memo = seq._series_memo = (horizon, x, logm, _tail_fit(x, logm))
+    _, x, logm, fit = memo
+    if alpha == 0.0:
+        # beta*0*x + log m is log m bit for bit: log_m_array never holds -0.0
+        return x, logm, logm, fit
     D = beta * alpha * x + logm
-    return classify_series(D, beta)
+    return x, logm, D, _tail_fit(x, D)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +421,7 @@ def _check_nq(seq: WeightSequence, horizon: int):
     return Status.INCONCLUSIVE, {}, None, diagnostics
 
 
-def _sup_verdict(values: list[float], diagnostics: dict, window: Optional[int] = None):
+def _sup_verdict(values, diagnostics: dict, window: Optional[int] = None):
     """Trichotomy on the running sup of the log-domain trace `values`.
 
     The sup gap between the comparison point and the end decides: within
@@ -464,7 +486,7 @@ def _block_log_suffix(
     return log_T
 
 
-def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
+def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, full: bool = True):
     """Shared engine for (snq) (alpha = beta = 1) and the beta-parametric
     condition (alpha = 0): the sup over p of
 
@@ -473,7 +495,9 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
     Delta-block families probe R at dyadic indices plus the block boundaries,
     with suffix sums from _block_log_suffix. Otherwise the suffix sums take
     the computed terms up to the horizon plus a fitted integral tail, and
-    the sup runs over p <= horizon/2.
+    the sup runs over p <= horizon/2. With full=False only the status is
+    wanted: no diagnostics, and a tail fit that decides the series divergent
+    or inconclusive skips the sums.
     """
     profile = seq.block_profile()
     if profile is not None:
@@ -501,26 +525,26 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
             "series": series.to_json(),
         }
         return _sup_verdict(lR, diagnostics, window=2)
-    logm = seq.log_m_array(horizon)
-    x = np.log(np.arange(1, horizon + 2, dtype=float))
-    # bit-exact for alpha = 0 too: log_m_array never holds -0.0
-    D = beta * alpha * x + logm
-    report = classify_series(D, beta)
-    diagnostics = {"series": report.to_json()}
+    x, logm, D, fit = tail_series(seq, horizon, alpha, beta)
+    report = classify_series(D, beta, fit, partial=full)
+    diagnostics = {"series": report.to_json()} if full else {}
     if report.kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
     if report.kind == "inconclusive":
         return Status.INCONCLUSIVE, {}, None, diagnostics
+    if not full:  # convergent: the status needs the partial sums after all
+        report = classify_series(D, beta, fit)
     suffix = numerics.logsumexp_suffix(-D / beta)
     # log_total aggregates from p=0; recover the beyond-horizon tail piece
     tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)
     T = np.logaddexp(suffix, tail_piece)
     half = horizon // 2 + 1
     lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T[:half]
-    diagnostics["sup_trace"] = [
-        (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
-    ]
-    return _sup_verdict(list(lR), diagnostics)
+    if full:
+        diagnostics["sup_trace"] = [
+            (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
+        ]
+    return _sup_verdict(lR, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +638,19 @@ def check_gamma_beta(
     R(p) = m_p^(1/beta) * sum_{q>=p} m_q^(-1/beta) / (p+1) stabilizes, fails
     on divergence of the series or sustained growth of R, else inconclusive.
     """
+    status, constants, witness, diagnostics = _gamma_beta(seq, beta, horizon, True)
+    diagnostics = {**diagnostics, "beta": beta}
+    return Verdict(f"gamma_{beta:g}", status, horizon, constants, witness, diagnostics)
+
+
+def gamma_beta_status(seq: WeightSequence, beta: float, horizon: int = 4096) -> Status:
+    """check_gamma_beta(seq, beta, horizon).status, without building the verdict."""
+    return _gamma_beta(seq, beta, horizon, False)[0]
+
+
+def _gamma_beta(seq: WeightSequence, beta: float, horizon: int, full: bool):
     if not (beta > 0) or not math.isfinite(beta):
         raise ValidationError("check_gamma_beta: beta must be a finite number > 0")
     if horizon < 64:
         raise ValidationError("check_gamma_beta: horizon must be >= 64")
-    status, constants, witness, diagnostics = _sup_series(seq, horizon, 0.0, beta)
-    diagnostics = {**diagnostics, "beta": beta}
-    return Verdict(f"gamma_{beta:g}", status, horizon, constants, witness, diagnostics)
+    return _sup_series(seq, horizon, 0.0, beta, full)

@@ -29,6 +29,8 @@ from .conditions import (
     check_gamma_beta,
     classify_power_series,
     classify_series,
+    gamma_beta_status,
+    tail_series,
 )
 from .errors import ValidationError
 from .sequences import EX38_K, EX38_Q, WeightSequence
@@ -128,11 +130,14 @@ def gamma_index(
     if not (beta_max >= 1):
         raise ValidationError("gamma_index: beta_max must be >= 1")
     samples: list[tuple[str, str]] = []
+    block = seq.block_profile() is not None
 
     def probe(beta: float) -> Status:
-        v = check_gamma_beta(seq, beta, horizon)
-        samples.append((f"beta={beta:g}", v.status.value))
-        return v.status
+        # status only; blockwise sums share no tail fit, so they run the full check
+        status = (check_gamma_beta(seq, beta, horizon).status if block
+                  else gamma_beta_status(seq, beta, horizon))
+        samples.append((f"beta={beta:g}", status.value))
+        return status
 
     converged = True
     top = probe(beta_max)
@@ -224,8 +229,8 @@ def _omega_series_value(
             else:
                 return math.nan, math.nan
         return lo, hi
-    logm = seq.log_m_array(horizon)
-    rep = classify_series(logm, 1.0)
+    _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
+    rep = classify_series(logm, 1.0, fit, partial=False)
     samples.append(("tail_exponent", f"{rep.exponent:.6g}"))
     if math.isnan(rep.exponent):
         return math.nan, math.nan

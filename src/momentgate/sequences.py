@@ -297,6 +297,9 @@ class WeightSequence:
         # derive() results by (op, s), so a repeated derivation reuses the
         # prefix the first one materialized
         self._derived: dict[tuple[str, Optional[float]], WeightSequence] = {}
+        # conditions.tail_series: (horizon, x, log m, tail fit) for the last
+        # horizon asked for
+        self._series_memo: Optional[tuple] = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -484,7 +487,10 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
     if isinstance(spec, ExplicitSpec):
         values = spec.log_m
         n = len(values)
-        head_sum = math.fsum(values)
+        try:
+            head_sum = math.fsum(values)
+        except OverflowError:  # so does log M; _ensure reports it as an error
+            head_sum = sum(values)
         if spec.tail_rule == "arithmetic":
             last = values[n - 1]
             step = spec.tail_value

@@ -10,6 +10,8 @@ injective-and-surjective pair is an internal error rather than a report.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple, Union
@@ -99,17 +101,14 @@ def default_admissible() -> WeightSequence:
     return make_sequence(GevreySpec(s=2.0))
 
 
-def _hypotheses(
-    M: WeightSequence,
-    A: WeightSequence,
-    horizon: int,
-) -> Dict[str, Verdict]:
-    out: Dict[str, Verdict] = {}
-    for cond in ("lc", "dc", "mg", "nq"):
-        out[cond] = check_condition(M, cond, horizon=horizon)
-    for cond in ("wlc", "nq"):
-        out[f"A:{cond}"] = check_condition(A, cond, horizon=horizon)
-    return out
+def _aux_hypotheses(A: WeightSequence, horizon: int) -> Dict[str, Verdict]:
+    return {f"A:{cond}": check_condition(A, cond, horizon=horizon) for cond in ("wlc", "nq")}
+
+
+@functools.lru_cache(maxsize=8)
+def _default_aux_hypotheses(horizon: int) -> Dict[str, Verdict]:
+    # verdicts of the stock A depend only on the horizon; classify copies them
+    return _aux_hypotheses(default_admissible(), horizon)
 
 
 def _gate(
@@ -357,15 +356,17 @@ def classify(
 
     The half-line and origin mappings share their two criteria, the series
     for injectivity and the beta = 1 check for surjectivity, so each is
-    evaluated once. Deterministic and idempotent; the never-bijective
-    invariant is enforced on both mapping pairs before the report is returned.
+    evaluated once; without A, the checks of the stock auxiliary sequence
+    run once per horizon and process. Deterministic and idempotent; the
+    never-bijective invariant is enforced on both mapping pairs before the
+    report is returned.
     """
     seq = spec if isinstance(spec, WeightSequence) else make_sequence(spec)
-    if A is None:
-        aux = default_admissible()
-    else:
-        aux = A if isinstance(A, WeightSequence) else make_sequence(A)
-    hyps = _hypotheses(seq, aux, horizon)
+    if A is not None:
+        A = A if isinstance(A, WeightSequence) else make_sequence(A)
+    hyps = {c: check_condition(seq, c, horizon=horizon) for c in ("lc", "dc", "mg", "nq")}
+    hyps.update(copy.deepcopy(_default_aux_hypotheses(horizon)) if A is None
+                else _aux_hypotheses(A, horizon))
     gamma = gamma_index(seq, horizon=horizon, tol=tol)
     omega = omega_index(seq, horizon=horizon, tol=tol)
     series = classify_power_series(seq, horizon, alpha=0.5, beta=2.0)

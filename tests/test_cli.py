@@ -210,6 +210,28 @@ def test_cache_rejects_one_corrupt_increment(capsys, tmp_path, monkeypatch):
     assert code == 0 and warm == cold
 
 
+def test_cache_accepts_its_own_large_prefix_and_refuses_one_ulp(capsys, tmp_path, monkeypatch):
+    # log M_4098 is about 4e7, where the difference of two stored sums misses
+    # the increment by more than 1e-9; the check is the exact recurrence
+    # values[p+1] == values[p] + inc[p] that persist's prefix satisfies
+    from momentgate import cache, sequence_from_json
+
+    monkeypatch.setenv("MOMENTGATE_CACHE_DIR", str(tmp_path))
+    spec = '{"kind":"explicit","log_m":[0.1,0.2,0.3],"tail":{"rule":"arithmetic","step":5.0}}'
+    code, cold, _ = run(capsys, "analyze", spec, "--format", "json", "--horizon", "4097")
+    assert code in (0, 2)
+    (path,) = tmp_path.glob("*.npy")
+    values = np.load(path)
+    assert len(values) == 4099 and values[-1] > 1e7
+    seq = sequence_from_json(json.loads(spec))
+    assert cache.warm(seq) and np.array_equal(np.asarray(seq._prefix), values)
+    values[2000] = np.nextafter(values[2000], math.inf)
+    np.save(path, values)
+    assert not cache.warm(sequence_from_json(json.loads(spec)))
+    code, warm, _ = run(capsys, "analyze", spec, "--format", "json", "--horizon", "4097")
+    assert warm == cold
+
+
 def test_config_flags_reach_report(capsys):
     code, out, _ = run(
         capsys, "analyze", GEVREY25, "--format", "json", "--horizon", "2048"
@@ -274,8 +296,10 @@ def test_analyze_extreme_growth_reports(spec, capsys, tmp_path, monkeypatch):
         ('{"kind":"explicit","log_m":[0],"tail":{"rule":"arithmetic","step":1e300}}', "30000", "log M_"),
         # log m_1 = 1e300 * 1e300 log 2 overflows, with no numpy warning
         ('{"kind":"derived","op":"power","s":1e300,"base":{"kind":"gevrey","s":1e300}}', "256", "log m_1 "),
+        # the explicit head alone sums past the float range
+        ('{"kind":"explicit","log_m":[1e308,1e308],"tail":{"rule":"arithmetic","step":0}}', "256", "log M_2 "),
     ],
-    ids=["prefix_overflow", "quotient_overflow"],
+    ids=["prefix_overflow", "quotient_overflow", "head_sum_overflow"],
 )
 def test_analyze_non_finite_prefix_is_one_error(spec, horizon, bad, capsys, monkeypatch):
     monkeypatch.delenv("MOMENTGATE_CACHE_DIR", raising=False)

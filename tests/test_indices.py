@@ -4,16 +4,21 @@ import math
 
 import pytest
 
+from momentgate import indices
 from momentgate import (
+    DerivedSpec,
     Example38Spec,
+    ExplicitSpec,
     GevreySpec,
     QGevreySpec,
     ValidationError,
+    check_gamma_beta,
     derive,
     gamma_index,
     make_sequence,
     omega_index,
 )
+from momentgate.conditions import classify_series, tail_series
 
 
 @pytest.mark.parametrize("s", [0.4, 1.0, 2.5])
@@ -86,3 +91,52 @@ def test_samples_are_recorded():
     assert all(len(pair) == 2 for pair in est.samples)
     j = est.to_json()
     assert j["index"] == "gamma" and isinstance(j["samples"], list)
+
+
+_PROBE_SPECS = {
+    "gevrey_0.4": GevreySpec(s=0.4),
+    "gevrey_2.5": GevreySpec(s=2.5),
+    "q_gevrey_2": QGevreySpec(q=2.0),
+    "explicit_arithmetic": ExplicitSpec((0.1, 0.3, 0.6), "arithmetic", 0.2),
+    "explicit_power": ExplicitSpec((0.0, 0.5, 0.9), "power", 1.3),
+    "hat": DerivedSpec("hat", GevreySpec(s=1.5)),
+    "check": DerivedSpec("check", GevreySpec(s=1.5)),
+    "power": DerivedSpec("power", GevreySpec(s=1.2), s=0.7),
+    "dc_minorant": DerivedSpec("dc_minorant", GevreySpec(s=2.0)),
+    "example38": Example38Spec(),
+}
+
+
+@pytest.mark.parametrize("horizon", [256, 4096])
+@pytest.mark.parametrize("name", list(_PROBE_SPECS))
+def test_status_probes_replay_the_full_check(name, horizon, monkeypatch):
+    # the bisection's status-only probes must walk the same betas to the same
+    # statuses as the full check_gamma_beta verdicts
+    spec = _PROBE_SPECS[name]
+    fast_calls = []
+    fast_status = indices.gamma_beta_status
+
+    def compared(seq, beta, h):
+        fast_calls.append(beta)
+        status = fast_status(seq, beta, h)
+        assert status is check_gamma_beta(make_sequence(spec), beta, h).status
+        return status
+
+    monkeypatch.setattr(indices, "gamma_beta_status", compared)
+    fast = gamma_index(make_sequence(spec), horizon=horizon)
+    monkeypatch.setattr(
+        indices, "gamma_beta_status", lambda seq, beta, h: check_gamma_beta(seq, beta, h).status
+    )
+    full = gamma_index(make_sequence(spec), horizon=horizon)
+    assert fast.samples == full.samples
+    assert fast == full
+    # the blockwise path keeps the full checker
+    assert (len(fast_calls) == 0) == (name == "example38")
+
+    if name != "example38":
+        seq = make_sequence(spec)
+        exponent = classify_series(seq.log_m_array(horizon), 1.0).exponent
+        samples = dict(omega_index(seq, horizon=horizon).samples)
+        assert samples["tail_exponent"] == f"{exponent:.6g}"
+        _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
+        assert classify_series(logm, 1.0, fit, partial=False).exponent == exponent
