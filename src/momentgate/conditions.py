@@ -526,14 +526,13 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
         }
         return _sup_verdict(lR, diagnostics, window=2)
     x, logm, D, fit = tail_series(seq, horizon, alpha, beta)
-    report = classify_series(D, beta, fit, partial=full)
+    kind = _tail_decision(fit, beta, len(D))[0]
+    report = classify_series(D, beta, fit) if full or kind == "convergent" else None
     diagnostics = {"series": report.to_json()} if full else {}
-    if report.kind == "divergent":
+    if kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
-    if report.kind == "inconclusive":
+    if kind == "inconclusive":
         return Status.INCONCLUSIVE, {}, None, diagnostics
-    if not full:  # convergent: the status needs the partial sums after all
-        report = classify_series(D, beta, fit)
     suffix = numerics.logsumexp_suffix(-D / beta)
     # log_total aggregates from p=0; recover the beyond-horizon tail piece
     tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)

@@ -26,7 +26,7 @@ import numpy as np
 from . import numerics
 from .conditions import (
     Status,
-    check_gamma_beta,
+    check_gamma_beta,  # noqa: F401 -- benchmarks/tracing.py wraps indices.check_gamma_beta
     classify_power_series,
     classify_series,
     gamma_beta_status,
@@ -130,12 +130,9 @@ def gamma_index(
     if not (beta_max >= 1):
         raise ValidationError("gamma_index: beta_max must be >= 1")
     samples: list[tuple[str, str]] = []
-    block = seq.block_profile() is not None
 
     def probe(beta: float) -> Status:
-        # status only; blockwise sums share no tail fit, so they run the full check
-        status = (check_gamma_beta(seq, beta, horizon).status if block
-                  else gamma_beta_status(seq, beta, horizon))
+        status = gamma_beta_status(seq, beta, horizon)
         samples.append((f"beta={beta:g}", status.value))
         return status
 

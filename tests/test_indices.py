@@ -113,11 +113,9 @@ def test_status_probes_replay_the_full_check(name, horizon, monkeypatch):
     # the bisection's status-only probes must walk the same betas to the same
     # statuses as the full check_gamma_beta verdicts
     spec = _PROBE_SPECS[name]
-    fast_calls = []
     fast_status = indices.gamma_beta_status
 
     def compared(seq, beta, h):
-        fast_calls.append(beta)
         status = fast_status(seq, beta, h)
         assert status is check_gamma_beta(make_sequence(spec), beta, h).status
         return status
@@ -130,8 +128,6 @@ def test_status_probes_replay_the_full_check(name, horizon, monkeypatch):
     full = gamma_index(make_sequence(spec), horizon=horizon)
     assert fast.samples == full.samples
     assert fast == full
-    # the blockwise path keeps the full checker
-    assert (len(fast_calls) == 0) == (name == "example38")
 
     if name != "example38":
         seq = make_sequence(spec)
