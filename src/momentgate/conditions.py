@@ -59,21 +59,17 @@ class Verdict:
     def affirmative(self) -> bool:
         return self.status in (Status.EXACT_HOLDS, Status.HOLDS_AT_HORIZON)
 
-    @property
-    def definite(self) -> bool:
-        return self.status in (Status.EXACT_HOLDS, Status.HOLDS_AT_HORIZON, Status.FAILS)
-
     def to_json(self) -> dict:
         out = {
             "condition": self.condition,
-            "status": self.status.value,
+            "status": self.status,
             "horizon": self.horizon,
-            "constants": numerics.jsonable(self.constants),
-            "diagnostics": numerics.jsonable(self.diagnostics),
+            "constants": self.constants,
+            "diagnostics": self.diagnostics,
         }
         if self.witness is not None:
-            out["witness"] = numerics.jsonable(self.witness)
-        return out
+            out["witness"] = self.witness
+        return numerics.jsonable(out)
 
 
 # Thresholds shared by every checker. The running sup at the start of the
@@ -126,12 +122,12 @@ class SeriesReport:
                 "kind": self.kind,
                 "theta": self.theta,
                 "exponent": self.exponent,
-                "windows": list(self.windows),
+                "windows": self.windows,
                 "log_partial": self.log_partial,
                 "log_total": self.log_total,
                 "method": self.method,
-                "partial_sum_trace": [list(t) for t in self.trace],
-                "block_sums": list(self.block_sums),
+                "partial_sum_trace": self.trace,
+                "block_sums": self.block_sums,
             }
         )
 
@@ -413,7 +409,7 @@ def _exp(x: float) -> float:
 
 def _check_nq(seq: WeightSequence, horizon: int):
     report = classify_power_series(seq, horizon, 1.0, 1.0)
-    diagnostics = {"series": report.to_json()}
+    diagnostics = {"series": report}
     if report.kind == "convergent":
         return Status.HOLDS_AT_HORIZON, {"sum": _exp(report.log_total)}, None, diagnostics
     if report.kind == "divergent":
@@ -503,7 +499,7 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
     if profile is not None:
         series = classify_block_series(seq, profile, alpha, beta)
         if series.divergent:
-            return Status.FAILS, {}, None, {"series": series.to_json()}
+            return Status.FAILS, {}, None, {"series": series}
         log_T = _block_log_suffix(seq, profile, alpha, beta)
         probe_list: list[int] = [0, 1, 2]
         v = 4
@@ -522,13 +518,13 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
         diagnostics = {
             "sup_trace": [(numerics.index_label(p), r) for p, r in zip(probe_list, lR)],
             "method": "block",
-            "series": series.to_json(),
+            "series": series,
         }
         return _sup_verdict(lR, diagnostics, window=2)
     x, logm, D, fit = tail_series(seq, horizon, alpha, beta)
     kind = _tail_decision(fit, beta, len(D))[0]
     report = classify_series(D, beta, fit) if full or kind == "convergent" else None
-    diagnostics = {"series": report.to_json()} if full else {}
+    diagnostics = {"series": report} if full else {}
     if kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
     if kind == "inconclusive":

@@ -48,21 +48,6 @@ class IndexEstimate:
     samples: tuple[tuple[str, str], ...]
     converged: bool
 
-    def to_json(self) -> dict:
-        return numerics.jsonable(
-            {
-                "index": self.index,
-                "lower": self.lower,
-                "upper": self.upper,
-                "estimate": self.estimate,
-                "method": self.method,
-                "cross_method": self.cross_method,
-                "cross_value": self.cross_value,
-                "samples": [list(s) for s in self.samples],
-                "converged": self.converged,
-            }
-        )
-
 
 def _probe_ladder(seq: WeightSequence, horizon: int) -> list[int]:
     """Dyadic probes up to the horizon plus exact block boundaries (j <= 8)."""

@@ -367,13 +367,6 @@ class LaplaceSample:
     value: complex
     abs_error: float
 
-    def to_json(self) -> dict:
-        return {
-            "zeta": [self.zeta.real, self.zeta.imag],
-            "value": [self.value.real, self.value.imag],
-            "abs_error": self.abs_error,
-        }
-
 
 def laplace_sample(
     phi: TestFunction, zeta: complex, abs_tol: float = 1e-12
@@ -461,11 +454,11 @@ class GrowthFit:
 
     @property
     def h(self) -> float:
-        return math.exp(self.log_h)
+        return numerics.exp_or_inf(self.log_h)
 
     @property
     def C(self) -> float:
-        return math.exp(self.log_C)
+        return numerics.exp_or_inf(self.log_C)
 
 
 def _upper_hull(points):
@@ -561,16 +554,6 @@ class LambdaFit:
     residuals: Tuple[float, ...]
     drift: float
     note: str
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "C": self.C,
-            "h": self.h,
-            "residuals": list(self.residuals),
-            "drift": self.drift,
-            "note": self.note,
-        }
 
 
 def lambda_fit(
@@ -708,15 +691,10 @@ class Jet:
         )
 
     def to_json(self) -> list:
-        out = []
-        for c in self.coefficients:
-            if isinstance(c, (int, Fraction, GaussianRational)):
-                out.append(str(c))
-            elif isinstance(c, complex):
-                out.append([c.real, c.imag])
-            else:
-                out.append(float(c))
-        return out
+        return [
+            str(c) if isinstance(c, (int, Fraction, GaussianRational)) else numerics.jsonable(c)
+            for c in self.coefficients
+        ]
 
 
 def _jet_entries(*jets: Jet) -> list:
@@ -972,17 +950,6 @@ class TaylorBoundReport:
     witness: Optional[Tuple[int, float]]
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "h": self.h,
-            "norm": self.norm,
-            "order_cap": self.order_cap,
-            "grid_points": self.grid_points,
-            "witness": list(self.witness) if self.witness else None,
-            "note": self.note,
-        }
-
 
 def taylor_bound_check(
     phi: TestFunction,
@@ -1037,14 +1004,14 @@ def taylor_bound_check(
             break
     ok = witness is None
     note = (
-        f"bound holds at h = {math.exp(log_h):.4g}"
+        f"bound holds at h = {fit.h:.4g}"
         if ok
         else f"bound violated at order {witness[0]}, x = {witness[1]:.6g}"
     )
     return TaylorBoundReport(
         ok=ok,
-        h=math.exp(log_h),
-        norm=math.exp(log_C),
+        h=fit.h,
+        norm=fit.C,
         order_cap=order_cap,
         grid_points=grid_points,
         witness=witness,

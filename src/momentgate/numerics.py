@@ -5,8 +5,10 @@ estimators build their policies on top of these primitives.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from array import array
+from enum import Enum
 
 import numpy as np
 
@@ -74,6 +76,14 @@ def log_p1(lo: int, hi: int, scale: float = 1.0) -> np.ndarray:
         _log_p1_table.extend(map(math.log, range(have + 1, hi + 1)))
     # the product is a new array, so no view keeps the table from growing
     return np.frombuffer(_log_p1_table, count=hi)[lo:] * scale
+
+
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), or +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def log1mexp(x: float) -> float:
@@ -185,23 +195,38 @@ def geometric_indices(n: int, count: int = 32) -> np.ndarray:
     return raw
 
 
+def _json_float(x: float):
+    if math.isfinite(x):
+        return x
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+
+
 def jsonable(obj):
-    """Recursively convert to JSON-encodable values; non-finite floats become
-    strings so serialized reports stay loadable."""
+    """The JSON-encodable form of a result tree; the one place results become
+    JSON. A dataclass converts through its class's own to_json() when it has
+    one, else field by field in declaration order; an Enum becomes its value,
+    a complex number [re, im], and a non-finite float a string, so serialized
+    reports stay loadable."""
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, float):
+        return _json_float(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        if hasattr(obj, "to_json"):
+            return obj.to_json()
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return [_json_float(obj.real), _json_float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+        return jsonable(obj.item())
     return obj
 
 

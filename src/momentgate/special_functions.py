@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import numerics
 from .conditions import check_condition
 from .errors import EvaluationError, QuadratureError, ValidationError
 from .sequences import BIG_INDEX_LIMIT, WeightSequence, derive
@@ -43,10 +42,6 @@ class HalfPlanePoint:
             v = getattr(self, field_name)
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValidationError(f"HalfPlanePoint: field {field_name!r} must be a finite number")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
     def __abs__(self) -> float:
         return math.hypot(self.x, self.y)
@@ -296,16 +291,6 @@ class PoissonResult:
     radius: float
     shells: int
 
-    def to_json(self) -> dict:
-        return numerics.jsonable(
-            {
-                "value": self.value,
-                "abs_error": self.abs_error,
-                "radius": self.radius,
-                "shells": self.shells,
-            }
-        )
-
 
 # G7/K15 on [-1, 1] (QUADPACK qk15, Piessens et al. 1983): the Kronrod
 # abscissae from the outside in; the Gauss points are the odd ones and 0
@@ -546,19 +531,6 @@ class GridCheckReport:
     tol: float
     rows: tuple[tuple[float, float, float, float, float], ...]
     note: str = ""
-
-    def to_json(self) -> dict:
-        return numerics.jsonable(
-            {
-                "name": self.name,
-                "ok": self.ok,
-                "sup": self.sup,
-                "bound": self.bound,
-                "tol": self.tol,
-                "note": self.note,
-                "rows": [list(r) for r in self.rows],
-            }
-        )
 
 
 def verify_g_decay(

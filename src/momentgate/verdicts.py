@@ -71,18 +71,6 @@ class MapVerdict:
     def affirmative(self) -> bool:
         return self.status is MapStatus.HOLDS
 
-    def to_json(self) -> dict:
-        return numerics.jsonable(
-            {
-                "name": self.name,
-                "status": self.status.value,
-                "direction": self.direction,
-                "citations": list(self.citations),
-                "notes": list(self.notes),
-                "trace": self.trace,
-            }
-        )
-
 
 def _map_status(status: Status) -> MapStatus:
     if status in (Status.EXACT_HOLDS, Status.HOLDS_AT_HORIZON):
@@ -149,7 +137,7 @@ def _injective_from(
         notes=notes,
         trace={
             "criterion": "divergence of sum ((p+1) m_p)^(-1/2)",
-            "series": series.to_json(),
+            "series": series,
             "hypotheses": {k: hyps[k].status.value for k in hyp_names},
         },
     )
@@ -192,12 +180,12 @@ def _surjective_from(
             )
     trace: dict = {
         "criterion": "sup_p m_p/(p+1) * sum_{q>=p} 1/m_q < infinity",
-        "gamma_1": g1.to_json(),
+        "gamma_1": g1,
         "hypotheses": {k: hyps[k].status.value for k in hyp_names},
         "mg": hyps["mg"].status.value,
     }
     if gamma is not None:
-        trace["gamma_index"] = gamma.to_json()
+        trace["gamma_index"] = gamma
         corroborates = gamma.lower > 1.0
         agrees = corroborates == (_map_status(g1.status) is MapStatus.HOLDS)
         trace["corroboration"] = (
@@ -228,7 +216,7 @@ def _vacuous_pair(hyps: Dict[str, Verdict]) -> Tuple[MapVerdict, MapVerdict]:
     )
     trace = {
         "criterion": "trivial domain",
-        "nq": hyps["nq"].to_json(),
+        "nq": hyps["nq"],
         "lc": hyps["lc"].status.value,
     }
     inj = MapVerdict(
@@ -315,18 +303,15 @@ class MomentMapReport:
                 "sequence": self.sequence,
                 "name": self.name,
                 "horizon": self.horizon,
-                "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
+                "hypotheses": self.hypotheses,
                 "verdicts": {
-                    "injective": self.injective.to_json(),
-                    "surjective": self.surjective.to_json(),
-                    "origin_injective": self.origin_injective.to_json(),
-                    "origin_surjective": self.origin_surjective.to_json(),
+                    "injective": self.injective,
+                    "surjective": self.surjective,
+                    "origin_injective": self.origin_injective,
+                    "origin_surjective": self.origin_surjective,
                 },
-                "indices": {
-                    "gamma": self.gamma.to_json(),
-                    "omega": self.omega.to_json(),
-                },
-                "citations": list(self.citations),
+                "indices": {"gamma": self.gamma, "omega": self.omega},
+                "citations": self.citations,
             }
         )
 

@@ -76,19 +76,6 @@ class CheckResult:
     witness: Optional[dict] = None
     note: str = ""
 
-    def to_json(self) -> dict:
-        return numerics.jsonable(
-            {
-                "name": self.name,
-                "ok": self.ok,
-                "measured": self.measured,
-                "bound": self.bound,
-                "citation": self.citation,
-                "witness": self.witness,
-                "note": self.note,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -111,7 +98,7 @@ class SuiteReport:
                 "suite": self.suite,
                 "ok": self.ok,
                 "params": self.params,
-                "checks": [c.to_json() for c in self.checks],
+                "checks": self.checks,
             }
         )
 

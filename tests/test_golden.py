@@ -1,0 +1,67 @@
+"""Golden bytes: the sha256 of canonical CLI outputs that must not drift.
+
+A change that alters any of these digests changes what the program reports;
+re-record them only together with the reason the report had to change. The
+`verify gfun` battery (sha256 7c30f181f63aa402243ed71a0064d45a2399e67a3a85bb19cdfc57d15837665e,
+about 9 s) is left to a manual check.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from momentgate.cli import main
+
+VERIFY_SHA256 = {
+    "inversion": "9794f4b92b6fdecc0903247aaee12379c8a1ddfc80408c2f4fc9b3f3834030bf",
+    "moments": "a781a0146a5ba54aa70c34c3085690d2338e3341f6fb08426cbfec8c819a37f8",
+    "example38": "5d2105e3e147732395464343a61dbdba3f2dff4abc3ae91f175604aa3d0843f5",
+}
+
+# `analyze --horizon 4096 --format json`
+ANALYZE_SHA256 = {
+    "gevrey_0.5": (
+        {"kind": "gevrey", "s": 0.5},
+        "da38d90ffb09f16c718bed3ac0f61d2ad716602d687f757fb31a71a9565c12a1",
+    ),
+    "q_gevrey_2": (
+        {"kind": "q_gevrey", "q": 2},
+        "1659c6ecc6c5a3c8b7b2c7d2f3a7ecdff64592c6380d153df403faf136bd5a81",
+    ),
+    "example38": (
+        {"kind": "example38"},
+        "eaec9e2ea4a8d21a9d99e49aee4781229a66e10612d1fb8e0808476cb0363772",
+    ),
+    "power_example38_0.5": (
+        {"kind": "derived", "op": "power", "s": 0.5, "base": {"kind": "example38"}},
+        "53561513e694a62a287435546bc756e1bc710d14f278261f7330c275ad101bd3",
+    ),
+    "dc_minorant_gevrey_1.3": (
+        {"kind": "derived", "op": "dc_minorant", "base": {"kind": "gevrey", "s": 1.3}},
+        "50e1c607c223ed5c48bfc3df8035cc242119c037cfaf415c19a6b439de5ca6b5",
+    ),
+    "explicit_constant": (
+        {"kind": "explicit", "log_m": [0.0], "tail": {"rule": "arithmetic", "step": 0.0}},
+        "4e9a86dcc47a1fa62a64a25405ccfd77ff8026f91906d93e72722555353ee678",
+    ),
+}
+
+
+def _sha256_of_run(tmp_path, monkeypatch, *argv) -> str:
+    monkeypatch.delenv("MOMENTGATE_CACHE_DIR", raising=False)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) in (0, 2)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256))
+def test_verify_json_bytes(suite, tmp_path, monkeypatch):
+    assert _sha256_of_run(tmp_path, monkeypatch, "verify", suite) == VERIFY_SHA256[suite]
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_json_bytes(name, tmp_path, monkeypatch):
+    spec, want = ANALYZE_SHA256[name]
+    got = _sha256_of_run(tmp_path, monkeypatch, "analyze", json.dumps(spec), "--horizon", "4096")
+    assert got == want

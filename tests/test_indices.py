@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from momentgate import indices
+from momentgate import indices, numerics
 from momentgate import (
     DerivedSpec,
     Example38Spec,
@@ -89,7 +89,7 @@ def test_samples_are_recorded():
     est = gamma_index(make_sequence(GevreySpec(s=1.0)), horizon=1024)
     assert len(est.samples) >= 4
     assert all(len(pair) == 2 for pair in est.samples)
-    j = est.to_json()
+    j = numerics.jsonable(est)
     assert j["index"] == "gamma" and isinstance(j["samples"], list)
 
 

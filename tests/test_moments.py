@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentgate import (
+    ExplicitSpec,
     GevreySpec,
     Jet,
     QuadratureError,
@@ -30,6 +31,7 @@ from momentgate import (
     phase_inversion_coeffs,
     taylor_bound_check,
 )
+from momentgate import numerics
 from momentgate.moments import GaussianRational, moment_with_error
 
 BUMP_MASS = 0.007029858406609656  # integral of exp(-1/x - 1/(1-x)) over (0,1)
@@ -369,5 +371,14 @@ def test_taylor_bound_check_bump_vs_factorials():
                              grid_points=400)
     assert rep.ok
     assert rep.h > 0 and math.isfinite(rep.norm)
-    j = rep.to_json()
+    j = numerics.jsonable(rep)
     assert j["ok"] is True
+
+
+def test_growth_fits_report_inf_past_the_float_range():
+    # log m_p = -800 puts the fitted log h near 800, past the float range
+    M = make_sequence(ExplicitSpec(log_m=(-800.0,), tail_rule="arithmetic", tail_value=0.0))
+    fit = lambda_fit([1.0] * 12, M)
+    assert fit.h == math.inf and math.isfinite(fit.C)
+    rep = taylor_bound_check(make_bump01(), 10, M, grid_points=64)
+    assert rep.h == math.inf and math.isfinite(rep.norm)

@@ -1,13 +1,30 @@
 """Log-domain helpers: identities against direct evaluation."""
 
+import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentgate
 from momentgate import numerics
+from momentgate.conditions import SeriesReport, Status, Verdict
+from momentgate.indices import IndexEstimate
+from momentgate.moments import (
+    GrowthFit,
+    Jet,
+    LambdaFit,
+    LaplaceSample,
+    TaylorBoundReport,
+    jet_reciprocal,
+)
+from momentgate.special_functions import GridCheckReport, PoissonResult
+from momentgate.verdicts import MapStatus, MapVerdict, MomentMapReport
+from momentgate.verification import CheckResult, SuiteReport
 
 
 def test_harmonic_small_values():
@@ -103,3 +120,49 @@ def test_index_label_forms():
     assert numerics.index_label(17) == "17"
     assert numerics.index_label(2**50) == "2^50"
     assert numerics.index_label(2**50 + 3) == "~2^50"
+
+
+INF, NAN = math.inf, math.nan
+_VERDICT = Verdict("nq", Status.HOLDS_AT_HORIZON, 64, {"sum": INF}, {"p": 3}, {"x": -INF})
+_ESTIMATE = IndexEstimate("gamma", 1.0, INF, INF, "bisection", "slopes", NAN, (("2", "3"),), False)
+_MAP_VERDICT = MapVerdict("stieltjes_injective", MapStatus.HOLDS, trace={"gamma_1": _VERDICT})
+_CHECK = CheckResult("bound", False, measured=INF, bound=NAN)
+
+# one instance of every result type the public API returns, each holding a
+# non-finite float
+STRICT_JSON_CASES = {
+    "SeriesReport": SeriesReport("convergent", 1.0, INF, (INF, -INF), 0.0, INF, ((1, INF),)),
+    "Verdict": _VERDICT,
+    "IndexEstimate": _ESTIMATE,
+    "MapVerdict": _MAP_VERDICT,
+    "MomentMapReport": MomentMapReport(
+        {"kind": "gevrey", "s": 1.0}, "gevrey", 64, {"nq": _VERDICT},
+        _MAP_VERDICT, _MAP_VERDICT, _MAP_VERDICT, _MAP_VERDICT, _ESTIMATE, _ESTIMATE, (),
+    ),
+    "CheckResult": _CHECK,
+    "SuiteReport": SuiteReport("moments", False, (_CHECK,), {"tol": INF}),
+    "PoissonResult": PoissonResult(INF, INF, 1.0, 3),
+    "GridCheckReport": GridCheckReport("decay", False, INF, 1.0, 1e-4, ((0.0, 1.0, INF, 1.0, -INF),)),
+    "LaplaceSample": LaplaceSample(complex(1.0, 0.0), complex(INF, NAN), INF),
+    "GrowthFit": GrowthFit(False, INF, 0.0, (-INF,), NAN, "still rising"),
+    "LambdaFit": LambdaFit(False, INF, INF, (-INF,), NAN, "still rising"),
+    "TaylorBoundReport": TaylorBoundReport(False, INF, INF, 10, 64, (3, 0.5), "violated"),
+    "Jet": Jet((1.0, complex(INF, 1.0), Fraction(1, 3))),
+    "Jet:reciprocal": jet_reciprocal(Jet((1e-320, 1.0, 0.0))),
+}
+
+
+def test_strict_json_cases_cover_public_results():
+    inputs = {"DerivedSpec", "Example38Spec", "ExplicitSpec", "GevreySpec", "QGevreySpec", "TestFunction"}
+    public = {
+        name for name in momentgate.__all__
+        if isinstance(getattr(momentgate, name), type)
+        and dataclasses.is_dataclass(getattr(momentgate, name))
+    }
+    assert public - inputs <= STRICT_JSON_CASES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_JSON_CASES))
+def test_results_convert_to_strict_json(name):
+    text = json.dumps(numerics.jsonable(STRICT_JSON_CASES[name]), allow_nan=False)
+    assert '"inf"' in text

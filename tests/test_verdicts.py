@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentgate import verdicts
+from momentgate.conditions import SeriesReport, Verdict
 from momentgate import (
     Example38Spec,
     ExplicitSpec,
@@ -189,7 +191,7 @@ def test_default_auxiliary_checks_once_per_horizon():
     memo.cache_clear()
     first = classify(spec, 4096)
     first_bytes = canonical(first)
-    first.hypotheses["A:nq"].diagnostics["series"]["kind"] = "tampered"
+    first.hypotheses["A:nq"].diagnostics["series"] = "tampered"
     first.hypotheses["A:wlc"].diagnostics.clear()
     short = classify(spec, 300)
     again = classify(spec, 4096)
@@ -197,3 +199,34 @@ def test_default_auxiliary_checks_once_per_horizon():
     assert canonical(again) == first_bytes
     assert first_bytes == canonical(classify(spec, 4096, A=GevreySpec(s=2.0)))
     assert canonical(short) == canonical(classify(spec, 300, A=GevreySpec(s=2.0)))
+
+
+def _subtrees_with(tree, key):
+    """Every dict in a JSON tree that has `key`, depth first."""
+    if isinstance(tree, dict):
+        if key in tree:
+            yield tree
+        for v in tree.values():
+            yield from _subtrees_with(v, key)
+    elif isinstance(tree, list):
+        for v in tree:
+            yield from _subtrees_with(v, key)
+
+
+def test_results_convert_once_when_serialized(monkeypatch):
+    # classify keeps results as objects; report.to_json() converts each one
+    # exactly as often as it appears in the output
+    converted = {SeriesReport: Counter(), Verdict: Counter()}
+    for cls, seen in converted.items():
+        def counted(self, _to_json=cls.to_json, _seen=seen):
+            out = _to_json(self)
+            _seen[json.dumps(out, sort_keys=True)] += 1
+            return out
+
+        monkeypatch.setattr(cls, "to_json", counted)
+    rep = classify(GevreySpec(s=1.5), horizon=4096)
+    assert not any(converted.values())
+    data = rep.to_json()
+    for cls, key in ((SeriesReport, "partial_sum_trace"), (Verdict, "condition")):
+        appears = Counter(json.dumps(t, sort_keys=True) for t in _subtrees_with(data, key))
+        assert appears and converted[cls] == appears
