@@ -347,9 +347,12 @@ def _gk15(fv: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.n
     """
     h = 0.5 * (b - a)
     width = np.abs(h)
-    value = fv @ _KRONROD * h
-    err = np.maximum(np.abs(value - fv @ _GAUSS * h), _EPS50 * width * (np.abs(fv) @ _KRONROD))
-    ends = fv @ _ENDS
+    value = np.einsum("ij,j->i", fv, _KRONROD) * h
+    err = np.maximum(
+        np.abs(value - np.einsum("ij,j->i", fv, _GAUSS) * h),
+        _EPS50 * width * np.einsum("ij,j->i", np.abs(fv), _KRONROD),
+    )
+    ends = np.einsum("ij,jk->ik", fv, _ENDS)
     gap = 0.5 * (1.0 - _XGK[0]) * width
     return value, err + gap * (np.abs(ends[:, 0] - fa) + np.abs(ends[:, 1] - fb))
 

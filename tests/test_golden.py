@@ -2,8 +2,10 @@
 
 A change that alters any of these digests changes what the program reports;
 re-record them only together with the reason the report had to change. The
-`verify gfun` battery (sha256 7c30f181f63aa402243ed71a0064d45a2399e67a3a85bb19cdfc57d15837665e,
-about 9 s) is left to a manual check.
+`verify gfun` battery (sha256 ec251677232f8ec9be3f72f95e86cf8b87a8da678cf7aafe4e568ce5c0b92fb3,
+about 9 s) is left to a manual check. It was re-recorded when the G7/K15
+panel sums moved from BLAS `@` to `np.einsum`, whose per-row result does not
+depend on how many panels share the call; three values moved by at most 9e-16.
 """
 
 import hashlib
