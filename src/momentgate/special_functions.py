@@ -452,29 +452,42 @@ def poisson_transform(
     ((total, err),) = _integrate(f, [(x - r, x + r)])
     prev_shell: Optional[float] = None
     tail_bound = math.inf
+    rate = 1.0  # the last shell ratio below 0.95
     shells = 0
-    truncated = False
-    while shells < max_shells:
+    batch = 4
+    truncated = single = False
+    while shells < max_shells and not truncated:
+        k = 1 if single else min(batch, max_shells - shells)
+        radii = [r * 2.0**j for j in range(k)]
         try:
-            (right, e1), (left, e2) = _integrate(f, [(x + r, x + 2.0 * r), (x - 2.0 * r, x - r)])
+            pairs = _integrate(f, [iv for q in radii for iv in ((x + q, x + 2.0 * q), (x - 2.0 * q, x - q))])
         except EvaluationError:
-            truncated = True
-            break
-        shell = left + right
-        total += shell
-        err += e1 + e2
-        r *= 2.0
-        shells += 1
-        if prev_shell is not None and prev_shell > 0 and shell >= 0:
-            ratio = shell / prev_shell
-            if ratio < 0.95:
-                tail_bound = shell * ratio / (1.0 - ratio)
-        elif shell <= 0:
-            tail_bound = 0.0
-        prev_shell = shell
-        scale = max(abs(total), 1e-12)
-        if tail_bound <= 0.25 * tol * scale:
-            return PoissonResult(total, err + tail_bound, r, shells)
+            # retry shell by shell, so the truncation radius is the one the
+            # shells reach one at a time
+            truncated, single = k == 1, True
+            continue
+        # replay the sequential stopping rule; shells past the stop are dropped
+        for (right, e1), (left, e2) in zip(pairs[::2], pairs[1::2]):
+            shell = left + right
+            total += shell
+            err += e1 + e2
+            r *= 2.0
+            shells += 1
+            if prev_shell is not None and prev_shell > 0 and shell >= 0:
+                ratio = shell / prev_shell
+                if ratio < 0.95:
+                    rate, tail_bound = ratio, shell * ratio / (1.0 - ratio)
+            elif shell <= 0:
+                tail_bound = 0.0
+            prev_shell = shell
+            target = 0.25 * tol * max(abs(total), 1e-12)
+            if tail_bound <= target:
+                return PoissonResult(total, err + tail_bound, r, shells)
+        # enough shells for the geometric tail to reach the target, plus one
+        if math.isfinite(tail_bound) and target > 0:
+            batch = math.ceil(math.log(target / tail_bound) / math.log(rate)) + 1
+        else:
+            batch *= 2
     scale = max(abs(total), 1e-12)
     if not math.isfinite(tail_bound) or tail_bound > tol * scale:
         reason = "weight unevaluable past the truncation radius" if truncated else "shell budget exhausted"
