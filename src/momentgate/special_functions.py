@@ -9,8 +9,8 @@ Only the modulus is ever needed downstream, so the harmonic conjugate is
 deliberately not computed.
 
 Quadrature is adaptive around the kernel peak with doubling shells outward,
-each shell by G7/K15 panels evaluated on whole node arrays; tails are
-truncated once the extrapolated remainder drops below the requested
+integrated several at a time by G7/K15 panels on whole node arrays; tails
+are truncated once the extrapolated remainder drops below the requested
 tolerance, and a remainder that refuses to shrink raises QuadratureError.
 """
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _map_scalar(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
 
 
 def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float], float]:
-    """Memoized even evaluator t -> omega_seq(scale * |t|).
+    """Even evaluator t -> omega_seq(scale * |t|); it keeps no memo of values.
 
     Non-log-convex sequences go through associated_function with a search cap
     that grows on demand. Log-convex sequences gallop to the quotient
@@ -191,55 +191,41 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     The returned callable's `many(ts)` evaluates a float array and equals
     the scalar calls bit for bit. For log-convex sequences, nodes whose +-2
     window lies inside the materialized prefix find their crossover by
-    np.searchsorted on the prefix quotients; every other node takes the
-    scalar path, which also raises EvaluationError past the reachable range.
+    np.searchsorted on the prefix quotients; every other distinct |t| takes
+    the scalar path once, which raises EvaluationError past the reachable range.
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
     `len(seq._prefix)` past what callers asked for moves the bits of gfun.
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
-    cache: dict[float, float] = {}
     cap_limit = 2**60 if seq._big_M_fn is not None else BIG_INDEX_LIMIT - 1
     convex = seq.certifies("lc")
     hint = 1
 
-    def envelope(u: float) -> Optional[float]:
-        """omega_seq(u), or None when the argmax lies beyond cap_limit."""
+    def omega(t: float) -> float:
         nonlocal hint
+        u = scale * abs(t)
+        if u == 0.0:
+            return 0.0
         if convex:
             log_u = math.log(u)
             pivot = _crossover(seq, log_u, cap_limit, hint)
-            if pivot is None:
-                return None
-            hint = pivot
-            # 0.0 goes first: the p = 0 term is -0.0 for u < 1, and max keeps
-            # its first argument on ties
-            return max(0.0, _window_max(seq, log_u, pivot, pivot + 2)[0])
-        cap = 4096
-        while True:
-            try:
-                return associated_function(seq, u, cap)
-            except ValidationError:
-                if cap >= cap_limit:
-                    return None
-                cap = min(cap * 4, cap_limit)
-
-    def omega(t: float) -> float:
-        nonlocal cache
-        u = scale * abs(t)
-        hit = cache.get(u)
-        if hit is not None:
-            return hit
-        if u == 0.0:
-            return 0.0
-        value = envelope(u)
-        if value is None:
-            raise EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
-        if len(cache) > 400_000:
-            cache = {}
-        cache[u] = value
-        return value
+            if pivot is not None:
+                hint = pivot
+                # 0.0 goes first: the p = 0 term is -0.0 for u < 1, and max
+                # keeps its first argument on ties
+                return max(0.0, _window_max(seq, log_u, pivot, pivot + 2)[0])
+        else:
+            cap = 4096
+            while True:
+                try:
+                    return associated_function(seq, u, cap)
+                except ValidationError:
+                    if cap >= cap_limit:
+                        break
+                    cap = min(cap * 4, cap_limit)
+        raise EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
 
     # (log M_0..log M_n, log m_0..log m_(n-1)) of the prefix as last seen;
     # the prefix only ever grows, so its length identifies it
@@ -249,27 +235,29 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         """omega at every entry of the 1-D array ts."""
         nonlocal tables
         ts = np.asarray(ts, dtype=float)
-        if not convex:
-            return _map_scalar(omega, ts)
-        if len(tables[0]) != len(seq._prefix):
-            log_M = seq.log_M_array(len(seq._prefix) - 1)
-            tables = (log_M, np.diff(log_M))
-        log_M, log_m = tables
-        u = scale * np.abs(ts)
         out = np.zeros(ts.size)  # +0.0 at u == 0
-        live = np.flatnonzero(u)
-        # math.log, not np.log: the two disagree in the last bit on some
-        # arguments, and the scalar path uses math.log
-        log_u = np.fromiter(map(math.log, u[live].tolist()), float, count=live.size)
-        pivot = np.searchsorted(log_m, log_u)  # first p with log m_p >= log u
-        inside = pivot + 2 < len(log_M)
-        p = pivot[inside, None] + np.arange(-2, 3)
-        terms = p * log_u[inside, None] - log_M[np.maximum(p, 0)]
-        terms[p < 0] = -math.inf
-        # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
-        out[live[inside]] = np.maximum(terms.max(axis=1), 0.0) + 0.0
-        for i in live[~inside].tolist():
-            out[i] = omega(float(ts[i]))
+        rest = np.arange(ts.size)  # the nodes left to the scalar path
+        if convex:
+            if len(tables[0]) != len(seq._prefix):
+                log_M = seq.log_M_array(len(seq._prefix) - 1)
+                tables = (log_M, np.diff(log_M))
+            log_M, log_m = tables
+            u = scale * np.abs(ts)
+            live = np.flatnonzero(u)
+            # math.log, not np.log: the two disagree in the last bit on some
+            # arguments, and the scalar path uses math.log
+            log_u = np.fromiter(map(math.log, u[live].tolist()), float, count=live.size)
+            pivot = np.searchsorted(log_m, log_u)  # first p with log m_p >= log u
+            inside = pivot + 2 < len(log_M)
+            p = pivot[inside, None] + np.arange(-2, 3)
+            terms = p * log_u[inside, None] - log_M[np.maximum(p, 0)]
+            terms[p < 0] = -math.inf
+            # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
+            out[live[inside]] = np.maximum(terms.max(axis=1), 0.0) + 0.0
+            rest = live[~inside]
+        # each distinct |t| once: adjacent shells share their panel ends
+        distinct, where = np.unique(np.abs(ts[rest]), return_inverse=True)
+        out[rest] = _map_scalar(omega, distinct)[where]
         return out
 
     omega.many = many
@@ -343,15 +331,14 @@ def _gk15(fv: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.n
     The error is |K15 - G7|, at least 50 eps times the integral of |f|, plus
     an end term: a kink of the weight in the gap between a panel's outermost
     node and its end is invisible to the nodes, so the gap is charged with
-    how far f at the end misses the node interpolant there.
+    how far f at the end misses the node interpolant there. The sums are
+    np.einsum, not BLAS `@`, so a panel's bits never depend on its batch size.
     """
     h = 0.5 * (b - a)
     width = np.abs(h)
     value = np.einsum("ij,j->i", fv, _KRONROD) * h
-    err = np.maximum(
-        np.abs(value - np.einsum("ij,j->i", fv, _GAUSS) * h),
-        _EPS50 * width * np.einsum("ij,j->i", np.abs(fv), _KRONROD),
-    )
+    gauss = np.einsum("ij,j->i", fv, _GAUSS) * h
+    err = np.maximum(np.abs(value - gauss), _EPS50 * width * np.einsum("ij,j->i", np.abs(fv), _KRONROD))
     ends = np.einsum("ij,jk->ik", fv, _ENDS)
     gap = 0.5 * (1.0 - _XGK[0]) * width
     return value, err + gap * (np.abs(ends[:, 0] - fa) + np.abs(ends[:, 1] - fb))
@@ -430,6 +417,12 @@ def poisson_transform(
     0.25 * tol * |value|. Exhausting max_shells, or the weight becoming
     unevaluable, with the bound still above tol * |value| raises.
 
+    Shells go to _integrate in batches: 4, then as many as that ratio says
+    reach the stop, plus one (twice the last batch while no ratio is below
+    0.95). The stopping rule is replayed over each batch, and a batch that
+    hits an unevaluable weight is redone shell by shell, so every result
+    equals that of integrating one shell per call.
+
     A weight with a `many(ts)` method (omega_evaluator's has one) is
     evaluated on whole node arrays; a plain scalar callable is mapped over
     them.
@@ -439,10 +432,7 @@ def poisson_transform(
         raise ValidationError("poisson_transform: tol must be > 0")
     x, y = pt.x, pt.y
     y_over_pi = y / math.pi
-    many = getattr(omega, "many", None)
-    if many is None:
-        def many(ts: np.ndarray) -> np.ndarray:
-            return _map_scalar(omega, ts)
+    many = getattr(omega, "many", None) or (lambda ts: _map_scalar(omega, ts))
 
     def f(t: np.ndarray) -> np.ndarray:
         d = t - x
@@ -453,8 +443,7 @@ def poisson_transform(
     prev_shell: Optional[float] = None
     tail_bound = math.inf
     rate = 1.0  # the last shell ratio below 0.95
-    shells = 0
-    batch = 4
+    shells, batch = 0, 4
     truncated = single = False
     while shells < max_shells and not truncated:
         k = 1 if single else min(batch, max_shells - shells)
@@ -462,11 +451,8 @@ def poisson_transform(
         try:
             pairs = _integrate(f, [iv for q in radii for iv in ((x + q, x + 2.0 * q), (x - 2.0 * q, x - q))])
         except EvaluationError:
-            # retry shell by shell, so the truncation radius is the one the
-            # shells reach one at a time
-            truncated, single = k == 1, True
+            truncated, single = k == 1, True  # redo the batch shell by shell
             continue
-        # replay the sequential stopping rule; shells past the stop are dropped
         for (right, e1), (left, e2) in zip(pairs[::2], pairs[1::2]):
             shell = left + right
             total += shell
@@ -483,11 +469,9 @@ def poisson_transform(
             target = 0.25 * tol * max(abs(total), 1e-12)
             if tail_bound <= target:
                 return PoissonResult(total, err + tail_bound, r, shells)
-        # enough shells for the geometric tail to reach the target, plus one
-        if math.isfinite(tail_bound) and target > 0:
-            batch = math.ceil(math.log(target / tail_bound) / math.log(rate)) + 1
-        else:
-            batch *= 2
+        # shells past the stop were dropped; size the next batch to reach it
+        finite = math.isfinite(tail_bound) and target > 0
+        batch = math.ceil(math.log(target / tail_bound) / math.log(rate)) + 1 if finite else 2 * batch
     scale = max(abs(total), 1e-12)
     if not math.isfinite(tail_bound) or tail_bound > tol * scale:
         reason = "weight unevaluable past the truncation radius" if truncated else "shell budget exhausted"
