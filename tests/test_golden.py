@@ -2,10 +2,9 @@
 
 A change that alters any of these digests changes what the program reports;
 re-record them only together with the reason the report had to change. The
-`verify gfun` battery (sha256 ec251677232f8ec9be3f72f95e86cf8b87a8da678cf7aafe4e568ce5c0b92fb3,
-about 9 s) is left to a manual check. It was re-recorded when the G7/K15
-panel sums moved from BLAS `@` to `np.einsum`, whose per-row result does not
-depend on how many panels share the call; three values moved by at most 9e-16.
+`verify gfun` digest was last re-recorded when the G7/K15 panel sums moved
+from BLAS `@` to `np.einsum`, whose per-row result does not depend on how
+many panels share the call; three values moved by at most 9e-16.
 """
 
 import hashlib
@@ -19,6 +18,7 @@ VERIFY_SHA256 = {
     "inversion": "9794f4b92b6fdecc0903247aaee12379c8a1ddfc80408c2f4fc9b3f3834030bf",
     "moments": "a781a0146a5ba54aa70c34c3085690d2338e3341f6fb08426cbfec8c819a37f8",
     "example38": "5d2105e3e147732395464343a61dbdba3f2dff4abc3ae91f175604aa3d0843f5",
+    "gfun": "ec251677232f8ec9be3f72f95e86cf8b87a8da678cf7aafe4e568ce5c0b92fb3",
 }
 
 # `analyze --horizon 4096 --format json`

@@ -23,7 +23,8 @@ from momentgate import (
     verify_g_window_bound,
     verify_poisson_lower_bound,
 )
-from momentgate.special_functions import associated_function_argmax
+from momentgate import special_functions
+from momentgate.special_functions import _integrate, associated_function_argmax
 
 CATALAN = 0.915965594177219
 
@@ -194,36 +195,108 @@ def test_omega_many_raises_past_the_reachable_index():
         omega(1e19)
 
 
-# (s, scale, z, P) for P[omega_{hat gevrey(s)}(scale |t|)](z) at tol 1e-7,
-# as computed by the scipy.integrate.quad shells this quadrature replaced
+# (s, scale, z, P, shells, radius) for P[omega_{hat gevrey(s)}(scale |t|)](z)
+# at tol 1e-7: P as computed by the scipy.integrate.quad shells this
+# quadrature replaced, shells and radius as the shells reach them one
+# _integrate call at a time
 QUAD_PINS = (
-    (1.0, 1.0, complex(-10.0, 0.5), 3.4856495217825105),
-    (1.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 2.8517509998643633),
-    (1.0, 1.0, complex(4.2857142857142865, 3.7142857142857144), 3.42147405847407),
-    (1.0, 2.0, complex(-7.959183673469388, 3.0), 6.33902405852382),
-    (1.0, 2.0, complex(4.2857142857142865, 3.7142857142857144), 5.612954466011974),
-    (2.0, 1.0, complex(-10.0, 0.5), 2.5912969659760647),
+    (1.0, 1.0, complex(-10.0, 0.5), 3.4856495217825105, 46, 281474976710656.0),
+    (1.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 2.8517509998643633, 50, 1.5119227320458094e16),
+    (1.0, 1.0, complex(4.2857142857142865, 3.7142857142857144), 3.42147405847407, 50, 1.67276557588047e16),
+    (1.0, 2.0, complex(-7.959183673469388, 3.0), 6.33902405852382, 49, 6755399441055744.0),
+    (1.0, 2.0, complex(4.2857142857142865, 3.7142857142857144), 5.612954466011974, 50, 1.67276557588047e16),
+    (2.0, 1.0, complex(-10.0, 0.5), 2.5912969659760647, 35, 137438953472.0),
     # a kink of the weight (t = -1) sits in the end gap of a converged panel
-    (2.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 1.9186956484166784),
-    (2.0, 1.0, complex(8.367346938775512, 1.5714285714285714), 2.4678569553581564),
-    (2.0, 2.0, complex(-3.8775510204081636, 0.8571428571428572), 2.394136499887649),
-    (2.0, 2.0, complex(6.326530612244898, 2.642857142857143), 3.602434720481171),
+    (2.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 1.9186956484166784, 38, 3691217607533.7144),
+    (2.0, 1.0, complex(8.367346938775512, 1.5714285714285714), 2.4678569553581564, 37, 863901993252.5714),
+    (2.0, 2.0, complex(-3.8775510204081636, 0.8571428571428572), 2.394136499887649, 37, 549755813888.0),
+    (2.0, 2.0, complex(6.326530612244898, 2.642857142857143), 3.602434720481171, 37, 1452926079561.1428),
 )
 
 
 def test_poisson_transform_matches_pinned_quad_values():
     evaluators = {}
-    for s, scale, z, pinned in QUAD_PINS:
+    for s, scale, z, pinned, shells, radius in QUAD_PINS:
         if (s, scale) not in evaluators:
             A_hat = derive(make_sequence(GevreySpec(s=s)), "hat")
             evaluators[s, scale] = omega_evaluator(A_hat, scale=scale)
         res = poisson_transform(evaluators[s, scale], z, tol=1e-7)
         assert res.value == pytest.approx(pinned, rel=1e-7), (s, scale, z)
+        assert (res.shells, res.radius) == (shells, radius), (s, scale, z)
     # plain scalar weights against their closed forms at tol 1e-8
     assert poisson_transform(lambda t: 2.5, 0.4 + 1j, tol=1e-8).value == pytest.approx(2.5, rel=1e-8)
     closed = 0.5 * math.log(2.0) + 2.0 * CATALAN / math.pi
     res = poisson_transform(lambda t: math.log1p(abs(t)), 1j, tol=1e-8)
     assert res.value == pytest.approx(closed, rel=1e-8)
+
+
+def test_integrate_does_not_depend_on_batch():
+    # the kink pin of QUAD_PINS: omega_{hat gevrey(2)} has a kink at |t| = 1
+    omega = omega_evaluator(derive(make_sequence(GevreySpec(s=2.0)), "hat"))
+    x, y = -1.8367346938775508, 3.357142857142857
+    levels = [0]
+
+    def f(t):
+        levels[0] += 1
+        d = t - x
+        return y / math.pi * omega.many(t) / (d * d + y * y)
+
+    r = 4.0 * y
+    intervals = [
+        (x - r, x + r), (-1.5, -0.5), (-1.0, 2.0), (x + r, x + 2.0 * r),
+        (x - 2.0 * r, x - r), (x + 64.0 * r, x + 128.0 * r), (-3.0, -1.0 + 1e-9),
+    ]
+    alone, depths = [], []
+    for interval in intervals:
+        levels[0] = 0
+        alone += _integrate(f, [interval])
+        depths.append(levels[0])
+    assert len(set(depths)) >= 3  # refined to different depths
+    together = _integrate(f, intervals)
+    # int64 views compare the bits of every (value, error) pair
+    assert np.array_equal(np.array(together).view(np.int64), np.array(alone).view(np.int64))
+
+
+# (|t| past which log(1 + |t|) is unevaluable, z, tol, (shells, radius) or
+# None for QuadratureError), as the shells reach them one _integrate call at
+# a time
+TRUNCATION_PINS = (
+    (20.0, 0.4 + 1j, 1e-3, None),
+    (1e4, 0.4 + 1j, 1e-3, (11, 8192.0)),  # unevaluable, but the tail closes
+    (1e5, 0.4 + 1j, 1e-3, (13, 32768.0)),
+    (1e6, 0.4 + 1j, 1e-5, None),
+    (1e7, 0.4 + 1j, 1e-5, (21, 8388608.0)),
+    (1e9, 1j, 1e-8, None),
+    (1e10, 1j, 1e-8, (31, 8589934592.0)),
+)
+
+
+def test_poisson_truncation_does_not_depend_on_batch_size(monkeypatch):
+    batch_sizes = []
+
+    def integrate(f, intervals):
+        try:
+            return _integrate(f, intervals)
+        except EvaluationError:
+            batch_sizes.append(len(intervals) // 2)
+            raise
+
+    monkeypatch.setattr(special_functions, "_integrate", integrate)
+    for limit, z, tol, pinned in TRUNCATION_PINS:
+
+        def weight(t):
+            if abs(t) > limit:
+                raise EvaluationError(f"no weight past {limit:g}")
+            return math.log1p(abs(t))
+
+        if pinned is None:
+            with pytest.raises(QuadratureError, match="weight unevaluable past the truncation radius"):
+                poisson_transform(weight, z, tol=tol)
+        else:
+            res = poisson_transform(weight, z, tol=tol)
+            assert (res.shells, res.radius) == pinned, limit
+    # the unevaluable weight came up in multi-shell batches of several sizes
+    assert len({k for k in batch_sizes if k > 1}) >= 3
 
 
 def test_derive_returns_one_object_per_op():
