@@ -469,7 +469,7 @@ def poisson_transform(
             target = 0.25 * tol * max(abs(total), 1e-12)
             if tail_bound <= target:
                 return PoissonResult(total, err + tail_bound, r, shells)
-        # shells past the stop were dropped; size the next batch to reach it
+        # no stop yet: enough shells for the tail model to reach the target, plus one
         finite = math.isfinite(tail_bound) and target > 0
         batch = math.ceil(math.log(target / tail_bound) / math.log(rate)) + 1 if finite else 2 * batch
     scale = max(abs(total), 1e-12)
