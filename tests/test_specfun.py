@@ -1,5 +1,6 @@
 """Associated function, Poisson transform, and the auxiliary function G."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from momentgate import (
     DerivedSpec,
     EvaluationError,
+    Example38Spec,
     ExplicitSpec,
     GevreySpec,
     QGevreySpec,
@@ -183,6 +185,81 @@ def test_omega_many_matches_scalar_bit_for_bit(spec, scale):
     if seq.certifies("lc"):
         # the p = 0 term is -0.0 below u = 1; the envelope reports +0.0
         assert math.copysign(1.0, omega.many(np.array([0.3 / scale]))[0]) == 1.0
+
+
+# (spec, log10 of the largest |t| drawn) for the omega pins: every |t| at
+# scale 2 stays inside the reachable index range (q_gevrey's quotient refuses
+# p > 1e15, example38's family stops at the cumulative limit)
+OMEGA_PIN_SPECS = {
+    "q_gevrey_2": (QGevreySpec(q=2.0), 300.0),
+    "q_gevrey_1.1": (QGevreySpec(q=1.1), 300.0),
+    "power_q_gevrey": (DerivedSpec("power", QGevreySpec(q=1.5), 2.0), 300.0),
+    "example38": (Example38Spec(), 16.5),
+    "hat_example38": (DerivedSpec("hat", Example38Spec()), 22.8),
+    "power_example38": (DerivedSpec("power", Example38Spec(), 0.6), 9.8),
+    "hat_hat_gevrey": (DerivedSpec("hat", DerivedSpec("hat", GevreySpec(s=0.7))), 48.0),
+}
+
+# (sha256 of the float64 bytes of many(ts), len(seq._prefix) afterwards) per
+# (name, prefix materialized beforehand, scale)
+OMEGA_PINS = {
+    ("example38", 0, 1.0): ("882d3ef6f38e2c7d24548f1904fee8f8e6693938242ac92b37ec55da994c0834", 1186996),
+    ("example38", 0, 2.0): ("41e866a3f94f8dfaba4ebdef5a063b5ac62ccdfc3c75dd70fd15eefe4d7f7258", 1678665),
+    ("example38", 3000, 1.0): ("882d3ef6f38e2c7d24548f1904fee8f8e6693938242ac92b37ec55da994c0834", 1186996),
+    ("example38", 3000, 2.0): ("41e866a3f94f8dfaba4ebdef5a063b5ac62ccdfc3c75dd70fd15eefe4d7f7258", 1678665),
+    ("hat_example38", 0, 1.0): ("6aa37e2d68850c3660e9a3a172af6488218ba767694b96f96977c1ea32954aa4", 1408666),
+    ("hat_example38", 0, 2.0): ("8d40e3ce0f50ddb6c2351e1b6aa17a2470f340326c6c4f0c6ad7377d252cd49e", 1774808),
+    ("hat_example38", 3000, 1.0): ("6aa37e2d68850c3660e9a3a172af6488218ba767694b96f96977c1ea32954aa4", 1408666),
+    ("hat_example38", 3000, 2.0): ("8d40e3ce0f50ddb6c2351e1b6aa17a2470f340326c6c4f0c6ad7377d252cd49e", 1774808),
+    ("hat_hat_gevrey", 0, 1.0): ("f2812a5e13bf33ac0fc6802d61cbe32ff63e4bb4938a61867d90349b8cfa2ad9", 65537),
+    ("hat_hat_gevrey", 0, 2.0): ("386cd5cbbaf61eb4d6067265a0b48d6efbac0ce98d8a167c59f71b3e36c6434f", 65037),
+    ("hat_hat_gevrey", 3000, 1.0): ("f2812a5e13bf33ac0fc6802d61cbe32ff63e4bb4938a61867d90349b8cfa2ad9", 65537),
+    ("hat_hat_gevrey", 3000, 2.0): ("386cd5cbbaf61eb4d6067265a0b48d6efbac0ce98d8a167c59f71b3e36c6434f", 65037),
+    ("power_example38", 0, 1.0): ("630c57599e3244a0cf62e95f4ca15c3207344f3e4a6010e05a4c71c902a43c06", 978940),
+    ("power_example38", 0, 2.0): ("5062e5bbb63d83ce04ad62d7f69ed418efe3381f362fc9974d30cd6a845a376b", 1744271),
+    ("power_example38", 3000, 1.0): ("630c57599e3244a0cf62e95f4ca15c3207344f3e4a6010e05a4c71c902a43c06", 978940),
+    ("power_example38", 3000, 2.0): ("5062e5bbb63d83ce04ad62d7f69ed418efe3381f362fc9974d30cd6a845a376b", 1744271),
+    ("power_q_gevrey", 0, 1.0): ("feb4c7f640d988c94f16d8ad2421c3a17a69e2618829fcff10760450d25d4631", 429),
+    ("power_q_gevrey", 0, 2.0): ("76c09daeb07b37eb937d560c095495f3d2666bfb1e86819ed851ea8351f0536b", 429),
+    ("power_q_gevrey", 3000, 1.0): ("feb4c7f640d988c94f16d8ad2421c3a17a69e2618829fcff10760450d25d4631", 3001),
+    ("power_q_gevrey", 3000, 2.0): ("76c09daeb07b37eb937d560c095495f3d2666bfb1e86819ed851ea8351f0536b", 3001),
+    ("q_gevrey_1.1", 0, 1.0): ("70873c73343b3386531c567efbecb272a8ef082cd538cda8fc13dbfe5b14d85e", 3625),
+    ("q_gevrey_1.1", 0, 2.0): ("21f100c579fc3226da8917b7afb1a5c45005cf7abe93a3fbd8e7c67455528beb", 3629),
+    ("q_gevrey_1.1", 3000, 1.0): ("70873c73343b3386531c567efbecb272a8ef082cd538cda8fc13dbfe5b14d85e", 3625),
+    ("q_gevrey_1.1", 3000, 2.0): ("21f100c579fc3226da8917b7afb1a5c45005cf7abe93a3fbd8e7c67455528beb", 3629),
+    ("q_gevrey_2", 0, 1.0): ("92d0750803ed93f418c99a62b233e42a471e2e4764065d50c600a99df842a1e0", 501),
+    ("q_gevrey_2", 0, 2.0): ("f243175e37c5e74fa18ed2e139f810563b2bdbe5ba808c0a6546ff160d948ad5", 502),
+    ("q_gevrey_2", 3000, 1.0): ("92d0750803ed93f418c99a62b233e42a471e2e4764065d50c600a99df842a1e0", 3001),
+    ("q_gevrey_2", 3000, 2.0): ("f243175e37c5e74fa18ed2e139f810563b2bdbe5ba808c0a6546ff160d948ad5", 3001),
+}
+
+
+def _omega_pin_nodes(spec, top):
+    """Nodes spread over 1e-3 .. 10^top, with clusters around quotients near
+    the prefix ends these pins start from and near the closed-form switch."""
+    rng = np.random.default_rng(11)
+    ts = 10.0 ** rng.uniform(-3.0, top, 3000)
+    ref = make_sequence(spec)  # a separate object: the pinned one starts untouched
+    for p in (40, 2999, 3001, 65535, 70000):
+        log_c = ref.log_m(p)
+        if log_c < top * math.log(10.0) - 1.0:
+            ts = np.concatenate((ts, math.exp(log_c) * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, 200))))
+    ts[::4] *= -1.0
+    return np.concatenate((ts, [0.0, -0.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_PIN_SPECS))
+@pytest.mark.parametrize("prefix", (0, 3000))
+@pytest.mark.parametrize("scale", (1.0, 2.0))
+def test_omega_many_bits_are_pinned(name, prefix, scale):
+    spec, top = OMEGA_PIN_SPECS[name]
+    ts = _omega_pin_nodes(spec, top)
+    seq = make_sequence(spec)
+    if prefix:
+        seq.log_M(prefix)
+    got = omega_evaluator(seq, scale=scale).many(ts)
+    digest = hashlib.sha256(got.tobytes()).hexdigest()
+    assert (digest, len(seq._prefix)) == OMEGA_PINS[name, prefix, scale]
 
 
 def test_omega_many_raises_past_the_reachable_index():
