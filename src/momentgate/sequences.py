@@ -12,9 +12,9 @@ supplies its increments for an index range as one array, and the prefix grows
 by one cumulative sum per request. That sum adds in index order from the last
 stored value, so the stored bits equal those of a term-by-term loop, and the
 prefix ends exactly at the requested index, however earlier requests were
-chunked. Closed-form evaluation is used directly only beyond the
-materialization limit, where cumulative values are not defined and log_M
-refuses to answer.
+chunked. Closed forms of log m (and of log M where one exists) on integer
+index arrays serve only past the materialized prefix: envelope searches probe
+far beyond any horizon, and log_M refuses to answer past the limit.
 
 Built-in families:
   gevrey(s)    M_p = p!^s             log m_p = s*log(p+1)
@@ -204,6 +204,12 @@ def example38_log_m(p: int) -> float:
     return total
 
 
+def _mapped(fn: Callable[[int], float], p: np.ndarray) -> np.ndarray:
+    """[fn(x) for x in p] as a float array of Python-int arguments: math.log
+    takes them exactly at any size, and np.log can differ in the last bit."""
+    return np.fromiter(map(fn, p.tolist()), float, count=p.size)
+
+
 def _example38_inc_array(lo: int, hi: int) -> np.ndarray:
     """[example38_log_m(p) for p in range(lo, hi)] bit for bit: the same
     harmonic differences, added block by block where p > k_j."""
@@ -276,10 +282,10 @@ class WeightSequence:
         self,
         spec: SequenceSpec,
         inc_array: Callable[[int, int], np.ndarray],
-        big_fn: Optional[Callable[[int], float]],
+        closed_m: Optional[Callable[[np.ndarray], np.ndarray]],
         metadata: dict[str, bool],
         name: str,
-        big_M_fn: Optional[Callable[[int], float]] = None,
+        closed_M: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self.spec = spec
         self.name = name
@@ -287,8 +293,10 @@ class WeightSequence:
         # inc_array(lo, hi): a fresh float array of log m_p for lo <= p < hi,
         # which _ensure sums in place
         self.inc_array = inc_array
-        self._big_fn = big_fn
-        self._big_M_fn = big_M_fn
+        # log m and log M at each entry of an integer index array (int64, or
+        # object past it); None where the family has no closed form
+        self._closed_m = closed_m
+        self._closed_M = closed_M
         # prefix[p] = log M_p, grown in chunks whose sums keep the bits of a
         # term-by-term loop and never past the length callers asked for, so
         # values depend neither on the order nor on the granularity of
@@ -348,25 +356,32 @@ class WeightSequence:
         if p < BIG_INDEX_LIMIT:
             self._ensure(p + 2)
             return self._prefix[p + 1] - self._prefix[p]
-        if self._big_fn is None:
+        if self._closed_m is None:
             raise EvaluationError(
                 f"index {p} exceeds the cumulative limit and this sequence has no "
                 "closed-form big-index quotient"
             )
-        return self._big_fn(p)
+        # an object array keeps indices past int64 (example38 probes 2^6561) exact
+        return float(self._closed_m(np.array([p], dtype=object))[0])
 
-    def log_m_fast(self, p: int) -> float:
-        """log m_p without growing the prefix: already-materialized indices
-        come from the prefix, everything else from the closed-form increment.
+    def log_m_fast(self, p: np.ndarray) -> np.ndarray:
+        """log m_p at each entry of the index array p, without growing the
+        prefix: materialized indices read the prefix, the others the closed
+        form, which every log-convex family has.
 
-        Search loops probing scattered large indices should use this; the
-        value may differ from log_m by float rounding of the prefix sums.
+        Searches probing scattered large indices use this; a value may differ
+        from log_m by float rounding of the prefix sums.
         """
-        if 0 <= p < len(self._prefix) - 1:
-            return self._prefix[p + 1] - self._prefix[p]
-        if self._big_fn is not None:
-            return self._big_fn(p)
-        return self.log_m(p)
+        n = len(self._prefix) - 1
+        if p.min(initial=n) >= n:
+            return self._closed_m(p)
+        prefix = np.frombuffer(self._prefix)
+        q = np.minimum(p, n - 1).astype(np.intp)
+        out = prefix[q + 1] - prefix[q]
+        past = p >= n
+        if past.any():
+            out[past] = self._closed_m(p[past])
+        return out
 
     def log_M_array(self, n: int) -> np.ndarray:
         """[log M_0, ..., log M_n]."""
@@ -386,25 +401,31 @@ class WeightSequence:
     # form above this index instead of growing the prefix term by term
     _CLOSED_FORM_AFTER = 65536
 
-    def log_M_extended(self, p: int) -> float:
-        """log M_p, reaching past the cumulative limit when a closed form exists.
+    def log_M_extended(self, p: np.ndarray) -> np.ndarray:
+        """log M_p at each entry of the index array p, reaching past the
+        cumulative limit when a closed form exists.
 
-        Below `_CLOSED_FORM_AFTER` (or whenever already materialized) this is
-        the stored prefix sum; beyond it the constructor closed form is used,
-        which agrees with the prefix up to float rounding. The value thus
-        depends on how far earlier calls grew the prefix: any change that grows
-        `len(self._prefix)` past what callers asked for (chunked growth, say)
-        moves the bits of everything built on it, gfun included.
+        Indices up to `_CLOSED_FORM_AFTER` (or all of them, without a closed
+        form) read the stored prefix sums, grown to the largest of them first;
+        so does any index already materialized. The others take the closed
+        form, which agrees with the prefix up to float rounding. The value
+        thus depends on how far earlier calls grew the prefix: any change that
+        grows `len(self._prefix)` past what callers asked for (chunked growth,
+        say) moves the bits of everything built on it, gfun included.
         """
-        if p < 0:
+        if p.min(initial=0) < 0:
             raise ValidationError("log_M_extended: p must be >= 0")
-        if p < len(self._prefix):
-            return self._prefix[p]
-        if self._big_M_fn is None:
-            return self.log_M(p)
-        if p <= self._CLOSED_FORM_AFTER:
-            return self.log_M(p)
-        return self._big_M_fn(p)
+        if p.max(initial=0) >= len(self._prefix):
+            grow = p if self._closed_M is None else p[p <= self._CLOSED_FORM_AFTER]
+            self._ensure(int(grow.max(initial=0)) + 1)
+        prefix = np.frombuffer(self._prefix)
+        inside = p < prefix.size
+        if inside.all():
+            return prefix[p.astype(np.intp)]
+        out = np.empty(p.shape)
+        out[inside] = prefix[p[inside].astype(np.intp)]
+        out[~inside] = self._closed_M(p[~inside])
+        return out
 
     # -- metadata ----------------------------------------------------------
 
@@ -441,17 +462,13 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         if spec.s <= 0:
             raise ValidationError("gevrey: field 's' must be > 0")
         s = spec.s
-
-        def inc(p: int) -> float:
-            return s * math.log(p + 1)
-
         return WeightSequence(
             spec,
             lambda lo, hi: log_p1(lo, hi, s),
-            inc,
+            lambda p: s * _mapped(math.log, p + 1),
             {"lc": True, "mg": True, "snq": True},
             f"gevrey({s:g})",
-            big_M_fn=lambda p: s * math.lgamma(p + 1),
+            closed_M=lambda p: s * _mapped(math.lgamma, p + 1),
         )
 
     if isinstance(spec, QGevreySpec):
@@ -459,18 +476,18 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
             raise ValidationError("q_gevrey: field 'q' must be > 1")
         logq = math.log(spec.q)
 
-        def inc(p: int) -> float:
-            if p > 10**15:
+        def log_m(p: np.ndarray) -> np.ndarray:
+            if p.size and p.max() > 10**15:
                 raise EvaluationError("q_gevrey quotient overflows beyond p = 1e15")
-            return (2 * p + 1) * logq
+            return ((2 * p + 1) * logq).astype(float)
 
         return WeightSequence(
             spec,
-            lambda lo, hi: np.arange(2 * lo + 1, 2 * hi + 1, 2) * logq,
-            inc,
+            lambda lo, hi: log_m(np.arange(lo, hi)),
+            log_m,
             {"lc": True, "dc": True, "mg": False, "borel_surjective": True},
             f"q_gevrey({spec.q:g})",
-            big_M_fn=lambda p: float(p) * float(p) * logq,
+            closed_M=lambda p: np.square(p.astype(float)) * logq,
         )
 
     if isinstance(spec, Example38Spec):
@@ -479,7 +496,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         return WeightSequence(
             spec,
             _example38_inc_array,
-            example38_log_m,
+            lambda p: _mapped(example38_log_m, p),
             {"lc": True, "mg": True, "snq": True},
             "example38",
         )
@@ -495,41 +512,34 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
             last = values[n - 1]
             step = spec.tail_value
 
-            def inc(p: int) -> float:
-                if p < n:
-                    return values[p]
-                if p > 10**15:
+            def tail_m(p: np.ndarray) -> np.ndarray:
+                if p.size and p.max() > 10**15:
                     raise EvaluationError("arithmetic tail overflows beyond p = 1e15")
-                return last + step * (p - (n - 1))
+                return last + step * (p - (n - 1)).astype(float)
 
-            tail = lambda lo, hi: np.arange(lo - (n - 1), hi - (n - 1)) * step + last
+            tail = lambda lo, hi: tail_m(np.arange(lo, hi))
 
-            def big_M(p: int) -> float:
-                if p <= n:
-                    return math.fsum(values[:p])
-                k = p - n
-                return head_sum + k * last + step * 0.5 * k * (k + 1)
+            def tail_M(p: np.ndarray) -> np.ndarray:
+                k = (p - n).astype(float)
+                return head_sum + k * last + step * 0.5 * k * (p - n + 1).astype(float)
 
         else:  # power tail: log m_p = c * log(p+1)
             c = spec.tail_value
-
-            def inc(p: int) -> float:
-                if p < n:
-                    return values[p]
-                return c * math.log(p + 1)
-
+            tail_m = lambda p: c * _mapped(math.log, p + 1)
             tail = lambda lo, hi: log_p1(lo, hi, c)
+            lgamma_n1 = math.lgamma(n + 1)
+            tail_M = lambda p: head_sum + c * (_mapped(math.lgamma, p + 1) - lgamma_n1)
 
-            def big_M(p: int) -> float:
-                if p <= n:
-                    return math.fsum(values[:p])
-                return head_sum + c * (math.lgamma(p + 1) - math.lgamma(n + 1))
+        head = np.array(values + (0.0,))  # entry n stands in where the tail takes over
+        log_m = lambda p: np.where(p < n, head[np.minimum(p, n).astype(np.intp)], tail_m(np.maximum(p, n)))
+        fsums = lambda p: _mapped(lambda k: math.fsum(values[:k]), p)
+        log_M = lambda p: np.where(p <= n, fsums(np.minimum(p, n)), tail_M(np.maximum(p, n)))
 
         def inc_array(lo: int, hi: int) -> np.ndarray:
             cut = min(max(lo, n), hi)  # first tail index
             return np.concatenate((values[lo:cut], tail(cut, hi)))
 
-        return WeightSequence(spec, inc_array, inc, {}, f"explicit[{n}]", big_M_fn=big_M)
+        return WeightSequence(spec, inc_array, log_m, {}, f"explicit[{n}]", closed_M=log_M)
 
     if isinstance(spec, DerivedSpec):
         base = make_sequence(spec.base)
@@ -597,22 +607,23 @@ def _derive_fresh(seq: WeightSequence, op: str, s: Optional[float]) -> WeightSeq
     return _derive(seq, op, s)
 
 
-def _affine(
-    f: Optional[Callable[[int], float]], scale: float, shift: int, g: Callable[[float], float]
-):
-    """p -> scale * f(p) + shift * g(p+1), or None without f. hat/check only
-    shift and power only scales; leaving the zero term out keeps each value's
-    bits (adding 0.0 would turn -0.0 into 0.0) and saves one log per term."""
-    if f is None:
-        return None
-    if shift:
-        return lambda p: f(p) + shift * g(p + 1)
-    return lambda p: scale * f(p)
+def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
+    """The derived sequence for a _DERIVATIONS op: log m'_p = scale * log m_p
+    + shift * log(p+1) and log M'_p = scale * log M_p + shift * log p!.
 
-
-def _affine_inc_array(base: WeightSequence, scale: float, shift: int):
-    """_affine over the base's stored quotients, on an index range: the
-    arithmetic of _affine(base.log_m, scale, shift, math.log), in place."""
+    The increments read the base's stored quotients; the closed forms compose
+    the base's, and are None where it has none. hat/check only shift and
+    power only scales; leaving the zero term out keeps each value's bits
+    (adding 0.0 would turn -0.0 into 0.0) and saves one log per term.
+    """
+    rule = _DERIVATIONS[op]
+    if rule.scaled:
+        if s is None or not (s > 0) or not math.isfinite(s):
+            raise ValidationError("derived: field 's' must be a finite number > 0")
+        scale, name = s, f"power({base.name},{s:g})"
+    else:
+        scale, s, name = 1.0, None, f"{op}({base.name})"
+    shift = rule.shift
 
     def inc_array(lo: int, hi: int) -> np.ndarray:
         f = base._quotients(lo, hi)
@@ -622,28 +633,16 @@ def _affine_inc_array(base: WeightSequence, scale: float, shift: int):
             f *= scale
         return f
 
-    return inc_array
-
-
-def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
-    """The derived sequence for a _DERIVATIONS op, on all three evaluators."""
-    rule = _DERIVATIONS[op]
-    if rule.scaled:
-        if s is None or not (s > 0) or not math.isfinite(s):
-            raise ValidationError("derived: field 's' must be a finite number > 0")
-        scale, name = s, f"power({base.name},{s:g})"
+    f_m, f_M = base._closed_m, base._closed_M
+    if shift:
+        closed_m = f_m and (lambda p: f_m(p) + shift * _mapped(math.log, p + 1))
+        closed_M = f_M and (lambda p: f_M(p) + shift * _mapped(math.lgamma, p + 1))
     else:
-        scale, s, name = 1.0, None, f"{op}({base.name})"
+        closed_m = f_m and (lambda p: scale * f_m(p))
+        closed_M = f_M and (lambda p: scale * f_M(p))
     meta = {cond: True for cond in rule.keeps_true if base.certifies(cond)}
     meta.update({cond: False for cond in rule.keeps_false if base.refutes(cond)})
-    return WeightSequence(
-        DerivedSpec(op, base.spec, s),
-        _affine_inc_array(base, scale, rule.shift),
-        _affine(base._big_fn, scale, rule.shift, math.log),
-        meta,
-        name,
-        big_M_fn=_affine(base._big_M_fn, scale, rule.shift, math.lgamma),
-    )
+    return WeightSequence(DerivedSpec(op, base.spec, s), inc_array, closed_m, meta, name, closed_M)
 
 
 def dc_minorant(base: WeightSequence) -> WeightSequence:

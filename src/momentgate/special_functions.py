@@ -67,68 +67,63 @@ def as_half_plane_point(z, min_y: float, where: str) -> HalfPlanePoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssocFnQuery:
-    """An envelope evaluation request: sup over 0 <= p <= p_cap."""
-
-    seq: WeightSequence
-    t: float
-    p_cap: int
-
-    def __post_init__(self):
-        if isinstance(self.t, bool) or not isinstance(self.t, (int, float)):
-            raise ValidationError("AssocFnQuery: field 't' must be a number")
-        if not (self.t >= 0) or not math.isfinite(self.t):
-            raise ValidationError("AssocFnQuery: field 't' must be finite and >= 0")
-        if not isinstance(self.p_cap, int) or isinstance(self.p_cap, bool) or self.p_cap < 2:
-            raise ValidationError("AssocFnQuery: field 'p_cap' must be an integer >= 2")
-
-
-def _crossover(seq: WeightSequence, log_t: float, cap: int, hint: int = 0) -> Optional[int]:
-    """Smallest p in [0, cap] with log m_p >= log t, or None if there is none.
+def _crossings(seq: WeightSequence, log_u: np.ndarray, start: int, cap: int) -> np.ndarray:
+    """Smallest p in (start, cap] with log m_p >= log u at each entry of
+    log_u, or cap + 1 where there is none; the predicate must fail at start.
 
     For log-convex sequences the quotients are nondecreasing, so the
-    predicate is monotone and the envelope's increments p -> p+1, equal to
-    log t - log m_p, change sign exactly once: the crossover is the argmax.
-    The search gallops from `hint` to bracket the sign change, then bisects.
-    Quotients are probed through the closed-form fast path; the +-2 window
-    of _window_max absorbs any rounding disagreement with the prefix.
+    envelope's increments p -> p+1, equal to log u - log m_p, change sign
+    once: the crossover is the argmax. All entries gallop up from start
+    together, doubling p, then narrow the bracket. Quotients are read by
+    seq.log_m_fast, and no probe lands past an entry's bracket: a closed
+    form may refuse indices far beyond the crossover (q_gevrey's past
+    p = 1e15). The +-2 window of _window_terms absorbs rounding
+    disagreements with the prefix.
     """
-    lo = hi = hint
-    step = 1
-    if seq.log_m_fast(hint) >= log_t:
-        while hi > 0:  # gallop down; the predicate holds at hi
-            lo = max(hi - step, 0)
-            if seq.log_m_fast(lo) < log_t:
-                break
-            hi, step = lo, 2 * step
-        else:
-            return 0
-    else:
-        while True:  # gallop up; the predicate fails at lo
-            hi = min(lo + step, cap)
-            if seq.log_m_fast(hi) >= log_t:
-                break
-            if hi >= cap:
-                return None
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if seq.log_m_fast(mid) >= log_t:
-            hi = mid
-        else:
-            lo = mid
+    dtype = np.int64 if cap < 2**62 else object  # Python ints past int64's reach
+    lo = np.full(log_u.size, start, dtype)
+    hi = np.full(log_u.size, cap + 1, dtype)
+    f_lo, f_hi = np.full(log_u.size, np.nan), np.full(log_u.size, np.nan)  # log m at lo, hi
+
+    def probe(rows: np.ndarray, p: np.ndarray) -> None:
+        f = seq.log_m_fast(p)
+        hit = f >= log_u[rows]
+        hi[rows[hit]], f_hi[rows[hit]] = p[hit], f[hit]
+        lo[rows[~hit]], f_lo[rows[~hit]] = p[~hit], f[~hit]
+
+    rows = np.arange(log_u.size)
+    while rows.size:  # gallop up, doubling p; the predicate fails at lo
+        probe(rows, np.minimum(2 * lo[rows] + 2, cap))
+        rows = rows[(hi[rows] > cap) & (lo[rows] < cap)]
+    rows, chord = np.flatnonzero(hi - lo > 1), dtype is not object
+    while rows.size:
+        l, h = lo[rows], hi[rows]
+        p = (l + h) // 2
+        if chord:
+            # log m is close to linear in log(p+1) for the gevrey-like
+            # families: every other round aims where the chord between the
+            # bracket ends crosses log u (nan until lo has been probed)
+            x0, x1 = np.log1p(l.astype(float)), np.log1p(h.astype(float))
+            aim = np.expm1(x0 + (log_u[rows] - f_lo[rows]) / (f_hi[rows] - f_lo[rows]) * (x1 - x0))
+            ok = np.isfinite(aim)
+            p[ok] = np.clip(np.ceil(aim[ok]).astype(np.int64), l[ok] + 1, h[ok] - 1)
+        probe(rows, p)
+        rows, chord = rows[hi[rows] - lo[rows] > 1], not chord and dtype is not object
     return hi
 
 
-def _window_max(seq: WeightSequence, log_t: float, pivot: int, top: int) -> tuple[float, int]:
-    """(max, first argmax) of p log t - log M_p over p >= 0 in [pivot-2, min(pivot+2, top)]."""
-    best_v, best_p = -math.inf, 0
-    for p in range(max(0, pivot - 2), min(top, pivot + 2) + 1):
-        v = p * log_t - seq.log_M_extended(p)
-        if v > best_v:
-            best_v, best_p = v, p
-    return best_v, best_p
+_WINDOW = np.arange(-2, 3)
+
+
+def _window_terms(seq: WeightSequence, log_u: np.ndarray, pivot: np.ndarray, top: int):
+    """(p, terms): p = pivot-2, ..., pivot+2 in each row and p log u - log M_p
+    there, -inf where p lies outside [0, top]. log M is read by
+    seq.log_M_extended at no index outside that range."""
+    p = pivot[:, None] + _WINDOW
+    q = np.minimum(np.maximum(p, 0), top)
+    terms = p * log_u[:, None] - seq.log_M_extended(q)
+    terms[q != p] = -math.inf
+    return p, terms
 
 
 def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_000) -> tuple[float, int]:
@@ -139,28 +134,33 @@ def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_0
     brute-force scan. An argmax pinned at p_cap means the cap truncated the
     sup and is an error.
     """
-    query = AssocFnQuery(seq, float(t), int(p_cap))
-    if query.t == 0.0:
+    t, p_cap = float(t), int(p_cap)
+    if not (t >= 0) or not math.isfinite(t):
+        raise ValidationError("AssocFnQuery: field 't' must be finite and >= 0")
+    if p_cap < 2:
+        raise ValidationError("AssocFnQuery: field 'p_cap' must be an integer >= 2")
+    if t == 0.0:
         return 0.0, 0
-    log_t = math.log(query.t)
+    log_t = math.log(t)
     if seq.certifies("lc"):
-        pivot = _crossover(seq, log_t, query.p_cap)
-        pivot = query.p_cap if pivot is None else pivot
-        best_v, best_p = _window_max(seq, log_t, pivot, query.p_cap)
+        log_u = np.array([log_t])
+        pivot = np.minimum(_crossings(seq, log_u, -1, p_cap), p_cap)
+        p, terms = _window_terms(seq, log_u, pivot, p_cap)
+        j = int(np.argmax(terms[0]))
+        best_p, best_v = int(p[0, j]), float(terms[0, j])
     else:
-        if query.p_cap > BRUTE_CAP_LIMIT:
+        if p_cap > BRUTE_CAP_LIMIT:
             raise ValidationError(
-                f"associated_function: p_cap {query.p_cap} exceeds the brute-force "
+                f"associated_function: p_cap {p_cap} exceeds the brute-force "
                 f"limit {BRUTE_CAP_LIMIT} for a sequence without certified log-convexity"
             )
-        logM = seq.log_M_array(query.p_cap)
-        f = np.arange(query.p_cap + 1, dtype=float) * log_t - logM
+        logM = seq.log_M_array(p_cap)
+        f = np.arange(p_cap + 1, dtype=float) * log_t - logM
         best_p = int(np.argmax(f))
         best_v = float(f[best_p])
-    if best_p >= query.p_cap:
+    if best_p >= p_cap:
         raise ValidationError(
-            f"associated_function: argmax at p_cap = {query.p_cap} for t = {query.t:g}; "
-            "p_cap too small"
+            f"associated_function: argmax at p_cap = {p_cap} for t = {t:g}; p_cap too small"
         )
     # + 0.0 turns a -0.0 maximum (p = 0 term below t = 1) into +0.0
     return max(best_v, 0.0) + 0.0, best_p
@@ -172,93 +172,92 @@ def associated_function(seq: WeightSequence, t: float, p_cap: int = 100_000) -> 
     return associated_function_argmax(seq, t, p_cap)[0]
 
 
-def _map_scalar(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    """[fn(t) for t in ts] as a float array."""
-    return np.fromiter(map(fn, ts.tolist()), float, count=ts.size)
-
-
 def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float], float]:
     """Even evaluator t -> omega_seq(scale * |t|); it keeps no memo of values.
 
-    Non-log-convex sequences go through associated_function with a search cap
-    that grows on demand. Log-convex sequences gallop to the quotient
-    crossover from the previous call's argmax; quadrature nodes
-    arrive clustered, so the crossover rarely moves far between calls. The
-    reachable index range ends where closed forms do: sequences without a
-    closed-form log M stop at the cumulative evaluation limit, making the
-    Poisson tail handler treat that point as the truncation boundary.
+    The returned callable's `many(ts)` evaluates a float array, and a scalar
+    call is `many` on one entry. For log-convex sequences np.searchsorted
+    finds each crossover in the prefix quotients; the nodes with none there
+    search past it together, each distinct |t| once (_crossings). Other
+    sequences take the brute-force sup of associated_function under a cap
+    that grows on demand, with one log M table per cap. The reachable index
+    range ends where closed forms do: sequences without a closed-form log M
+    stop at the cumulative evaluation limit, and past it `many` raises
+    EvaluationError, which the Poisson tail handler treats as truncation.
 
-    The returned callable's `many(ts)` evaluates a float array and equals
-    the scalar calls bit for bit. For log-convex sequences, nodes whose +-2
-    window lies inside the materialized prefix find their crossover by
-    np.searchsorted on the prefix quotients; every other distinct |t| takes
-    the scalar path once, which raises EvaluationError past the reachable range.
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
     `len(seq._prefix)` past what callers asked for moves the bits of gfun.
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
-    cap_limit = 2**60 if seq._big_M_fn is not None else BIG_INDEX_LIMIT - 1
+    cap_limit = 2**60 if seq._closed_M is not None else BIG_INDEX_LIMIT - 1
     convex = seq.certifies("lc")
-    hint = 1
+    # log m_0..log m_(n-1) of the prefix as last seen; the prefix only ever
+    # grows, so its length identifies it
+    quotients = np.zeros(0)
+    brute: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # cap -> (0..cap, log M_0..log M_cap)
 
-    def omega(t: float) -> float:
-        nonlocal hint
-        u = scale * abs(t)
-        if u == 0.0:
-            return 0.0
-        if convex:
-            log_u = math.log(u)
-            pivot = _crossover(seq, log_u, cap_limit, hint)
-            if pivot is not None:
-                hint = pivot
-                # 0.0 goes first: the p = 0 term is -0.0 for u < 1, and max
-                # keeps its first argument on ties
-                return max(0.0, _window_max(seq, log_u, pivot, pivot + 2)[0])
-        else:
-            cap = 4096
-            while True:
-                try:
-                    return associated_function(seq, u, cap)
-                except ValidationError:
-                    if cap >= cap_limit:
-                        break
-                    cap = min(cap * 4, cap_limit)
-        raise EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
+    def beyond(u: float) -> EvaluationError:
+        return EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
 
-    # (log M_0..log M_n, log m_0..log m_(n-1)) of the prefix as last seen;
-    # the prefix only ever grows, so its length identifies it
-    tables = (np.zeros(1), np.zeros(0))
+    def window(log_u: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+        terms = _window_terms(seq, log_u, pivot, cap_limit + 2)[1]
+        # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
+        return np.maximum(terms.max(axis=1), 0.0) + 0.0
 
     def many(ts: np.ndarray) -> np.ndarray:
         """omega at every entry of the 1-D array ts."""
-        nonlocal tables
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros(ts.size)  # +0.0 at u == 0
-        rest = np.arange(ts.size)  # the nodes left to the scalar path
+        nonlocal quotients
+        u = scale * np.abs(np.asarray(ts, dtype=float))
+        out = np.zeros(u.size)  # +0.0 at u == 0
+        live = np.flatnonzero(u)
+        u = u[live]
+        # math.log, not np.log: the two disagree in the last bit on some
+        # arguments, and the closed forms use math.log
+        log_u = np.fromiter(map(math.log, u.tolist()), float, count=u.size)
         if convex:
-            if len(tables[0]) != len(seq._prefix):
-                log_M = seq.log_M_array(len(seq._prefix) - 1)
-                tables = (log_M, np.diff(log_M))
-            log_M, log_m = tables
-            u = scale * np.abs(ts)
-            live = np.flatnonzero(u)
-            # math.log, not np.log: the two disagree in the last bit on some
-            # arguments, and the scalar path uses math.log
-            log_u = np.fromiter(map(math.log, u[live].tolist()), float, count=live.size)
-            pivot = np.searchsorted(log_m, log_u)  # first p with log m_p >= log u
-            inside = pivot + 2 < len(log_M)
-            p = pivot[inside, None] + np.arange(-2, 3)
-            terms = p * log_u[inside, None] - log_M[np.maximum(p, 0)]
-            terms[p < 0] = -math.inf
-            # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
-            out[live[inside]] = np.maximum(terms.max(axis=1), 0.0) + 0.0
-            rest = live[~inside]
-        # each distinct |t| once: adjacent shells share their panel ends
-        distinct, where = np.unique(np.abs(ts[rest]), return_inverse=True)
-        out[rest] = _map_scalar(omega, distinct)[where]
+            if quotients.size != len(seq._prefix) - 1:
+                quotients = seq.log_m_array(len(seq._prefix) - 2)
+            n = quotients.size
+            pivot = np.searchsorted(quotients, log_u)  # first p with log m_p >= log u
+            if pivot.max(initial=0) == n:
+                past = np.flatnonzero(pivot == n)
+                # each distinct |t| once: adjacent shells share their panel ends
+                _, first, where = np.unique(u[past], return_index=True, return_inverse=True)
+                pivot[past] = _crossings(seq, log_u[past][first], n - 1, cap_limit)[where]
+                ok = pivot <= cap_limit
+                if not ok.all():  # nodes below the first unreachable one still grow the prefix
+                    out[live[ok]] = window(log_u[ok], pivot[ok])
+                    raise beyond(u[~ok].min())
+            out[live] = window(log_u, pivot)
+            return out
+        # the sup of associated_function over 0 <= p <= cap, the cap growing 4x
+        # from 4096 for the nodes whose argmax it pins; caps past the
+        # brute-force limit pin every node
+        if not np.isfinite(u).all():
+            raise beyond(u[~np.isfinite(u)][0])
+        rows, cap = np.arange(u.size), 4096
+        while rows.size:
+            if cap <= BRUTE_CAP_LIMIT:
+                if cap not in brute:
+                    brute[cap] = (np.arange(cap + 1, dtype=float), seq.log_M_array(cap))
+                index, log_M = brute[cap]
+                pinned, per = [], max(1, 2**20 // (cap + 1))  # nodes per block of f
+                for block in (rows[i : i + per] for i in range(0, rows.size, per)):
+                    f = index * log_u[block, None] - log_M
+                    best = np.argmax(f, axis=1)
+                    done = best < cap
+                    out[live[block[done]]] = np.maximum(f[np.flatnonzero(done), best[done]], 0.0) + 0.0
+                    pinned.append(block[~done])
+                rows = np.concatenate(pinned)
+            if rows.size and cap >= cap_limit:
+                raise beyond(u[rows].min())
+            cap = min(cap * 4, cap_limit)
         return out
+
+    def omega(t: float) -> float:
+        return float(many(np.array([t]))[0])
 
     omega.many = many
     return omega
@@ -432,7 +431,9 @@ def poisson_transform(
         raise ValidationError("poisson_transform: tol must be > 0")
     x, y = pt.x, pt.y
     y_over_pi = y / math.pi
-    many = getattr(omega, "many", None) or (lambda ts: _map_scalar(omega, ts))
+    many = getattr(omega, "many", None) or (
+        lambda ts: np.fromiter(map(omega, ts.tolist()), float, count=ts.size)
+    )
 
     def f(t: np.ndarray) -> np.ndarray:
         d = t - x

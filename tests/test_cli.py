@@ -320,6 +320,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_benchmark_tracer_installs():
+    # benchmarks/tracing.py rebinds package names (omega_evaluator,
+    # WeightSequence.log_m_fast, ...) by attribute; a rename must fail here
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    bench = os.path.join(os.path.dirname(src), "benchmarks")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import tracing; tracing.install(tracing.Tracer())"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=bench, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_public_names_all_resolve():
     # a deletion that leaves a dangling export breaks `from momentgate import *`
     names = momentgate.__all__
