@@ -415,13 +415,14 @@ class WeightSequence:
         """
         if p.min(initial=0) < 0:
             raise ValidationError("log_M_extended: p must be >= 0")
-        if p.max(initial=0) >= len(self._prefix):
+        top = p.max(initial=0)
+        if top >= len(self._prefix):
             grow = p if self._closed_M is None else p[p <= self._CLOSED_FORM_AFTER]
             self._ensure(int(grow.max(initial=0)) + 1)
         prefix = np.frombuffer(self._prefix)
-        inside = p < prefix.size
-        if inside.all():
+        if top < prefix.size:
             return prefix[p.astype(np.intp)]
+        inside = p < prefix.size
         out = np.empty(p.shape)
         out[inside] = prefix[p[inside].astype(np.intp)]
         out[~inside] = self._closed_M(p[~inside])
@@ -479,11 +480,11 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         def log_m(p: np.ndarray) -> np.ndarray:
             if p.size and p.max() > 10**15:
                 raise EvaluationError("q_gevrey quotient overflows beyond p = 1e15")
-            return ((2 * p + 1) * logq).astype(float)
+            return np.asarray((2 * p + 1) * logq, dtype=float)  # object arrays too
 
         return WeightSequence(
             spec,
-            lambda lo, hi: log_m(np.arange(lo, hi)),
+            lambda lo, hi: np.arange(2 * lo + 1, 2 * hi + 1, 2) * logq,
             log_m,
             {"lc": True, "dc": True, "mg": False, "borel_surjective": True},
             f"q_gevrey({spec.q:g})",
@@ -517,7 +518,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
                     raise EvaluationError("arithmetic tail overflows beyond p = 1e15")
                 return last + step * (p - (n - 1)).astype(float)
 
-            tail = lambda lo, hi: tail_m(np.arange(lo, hi))
+            tail = lambda lo, hi: np.arange(lo - (n - 1), hi - (n - 1)) * step + last
 
             def tail_M(p: np.ndarray) -> np.ndarray:
                 k = (p - n).astype(float)

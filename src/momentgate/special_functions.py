@@ -73,42 +73,33 @@ def _crossings(seq: WeightSequence, log_u: np.ndarray, start: int, cap: int) -> 
 
     For log-convex sequences the quotients are nondecreasing, so the
     envelope's increments p -> p+1, equal to log u - log m_p, change sign
-    once: the crossover is the argmax. All entries gallop up from start
-    together, doubling p, then narrow the bracket. Quotients are read by
-    seq.log_m_fast, and no probe lands past an entry's bracket: a closed
-    form may refuse indices far beyond the crossover (q_gevrey's past
-    p = 1e15). The +-2 window of _window_terms absorbs rounding
-    disagreements with the prefix.
+    once: the crossover is the argmax. All entries search together: each
+    gallops up from start, doubling p, until the flip is bracketed, then
+    halves its bracket. Quotients are read by seq.log_m_fast, and no probe
+    lands past an entry's bracket: a closed form may refuse indices far
+    beyond the crossover (q_gevrey's past p = 1e15). The +-2 window of
+    _window_terms absorbs rounding disagreements with the prefix.
     """
     dtype = np.int64 if cap < 2**62 else object  # Python ints past int64's reach
-    lo = np.full(log_u.size, start, dtype)
-    hi = np.full(log_u.size, cap + 1, dtype)
-    f_lo, f_hi = np.full(log_u.size, np.nan), np.full(log_u.size, np.nan)  # log m at lo, hi
-
-    def probe(rows: np.ndarray, p: np.ndarray) -> None:
-        f = seq.log_m_fast(p)
-        hit = f >= log_u[rows]
-        hi[rows[hit]], f_hi[rows[hit]] = p[hit], f[hit]
-        lo[rows[~hit]], f_lo[rows[~hit]] = p[~hit], f[~hit]
-
-    rows = np.arange(log_u.size)
-    while rows.size:  # gallop up, doubling p; the predicate fails at lo
-        probe(rows, np.minimum(2 * lo[rows] + 2, cap))
-        rows = rows[(hi[rows] > cap) & (lo[rows] < cap)]
-    rows, chord = np.flatnonzero(hi - lo > 1), dtype is not object
+    lo, hi = np.full(log_u.size, start, dtype), np.full(log_u.size, cap + 1, dtype)
+    f_lo, f_hi = np.full(log_u.size, np.nan), np.full(log_u.size, np.nan)  # log m there
+    rows, chord = np.arange(log_u.size), False
     while rows.size:
         l, h = lo[rows], hi[rows]
-        p = (l + h) // 2
-        if chord:
+        p = np.where(h > cap, np.minimum(2 * l + 2, cap), (l + h) // 2)
+        if chord and dtype is not object:
             # log m is close to linear in log(p+1) for the gevrey-like
             # families: every other round aims where the chord between the
-            # bracket ends crosses log u (nan until lo has been probed)
+            # bracket ends crosses log u (nan until both ends are probed)
             x0, x1 = np.log1p(l.astype(float)), np.log1p(h.astype(float))
             aim = np.expm1(x0 + (log_u[rows] - f_lo[rows]) / (f_hi[rows] - f_lo[rows]) * (x1 - x0))
             ok = np.isfinite(aim)
             p[ok] = np.clip(np.ceil(aim[ok]).astype(np.int64), l[ok] + 1, h[ok] - 1)
-        probe(rows, p)
-        rows, chord = rows[hi[rows] - lo[rows] > 1], not chord and dtype is not object
+        f = seq.log_m_fast(p)
+        hit = f >= log_u[rows]
+        hi[rows[hit]], f_hi[rows[hit]] = p[hit], f[hit]
+        lo[rows[~hit]], f_lo[rows[~hit]] = p[~hit], f[~hit]
+        rows, chord = rows[hi[rows] - lo[rows] > 1], not chord
     return hi
 
 
@@ -211,7 +202,7 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         nonlocal quotients
         u = scale * np.abs(np.asarray(ts, dtype=float))
         out = np.zeros(u.size)  # +0.0 at u == 0
-        live = np.flatnonzero(u)
+        live = u.nonzero()[0]
         u = u[live]
         # math.log, not np.log: the two disagree in the last bit on some
         # arguments, and the closed forms use math.log
@@ -220,7 +211,7 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
             if quotients.size != len(seq._prefix) - 1:
                 quotients = seq.log_m_array(len(seq._prefix) - 2)
             n = quotients.size
-            pivot = np.searchsorted(quotients, log_u)  # first p with log m_p >= log u
+            pivot = quotients.searchsorted(log_u)  # first p with log m_p >= log u
             if pivot.max(initial=0) == n:
                 past = np.flatnonzero(pivot == n)
                 # each distinct |t| once: adjacent shells share their panel ends
