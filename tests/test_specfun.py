@@ -88,6 +88,10 @@ def test_omega_evaluator_huge_argument_uses_closed_form():
     p = np.arange(10**9 - 2, 10**9 + 3)
     direct = (p * math.log(t) - seq.log_M_extended(p)).max()
     assert v == pytest.approx(direct, rel=1e-12)
+    # a cap past int64's reach searches on Python ints
+    p = np.array([10**19 + k for k in range(-2, 3)], dtype=object)
+    direct = max((p * math.log(1e19) - seq.log_M_extended(p)).tolist())
+    assert associated_function(seq, 1e19, 10**30) == pytest.approx(direct, rel=1e-12)
 
 
 def test_poisson_transform_constant_weight():
