@@ -358,8 +358,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line with exit 1, like
+    every other input error; argparse's own exit 2 means "inconclusive"
+    here. Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentgate",
         description="growth conditions, indices, and moment-mapping verdicts "
         "for weight sequences",
@@ -387,8 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,10 +25,6 @@ from .conditions import check_condition
 from .errors import EvaluationError, QuadratureError, ValidationError
 from .sequences import BIG_INDEX_LIMIT, WeightSequence, derive
 
-# brute-force envelope maximization scans every index up to the cap; refuse
-# caps that would allocate absurd scan tables
-BRUTE_CAP_LIMIT = 2**22
-
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
@@ -77,17 +73,17 @@ def _crossings(seq: WeightSequence, log_u: np.ndarray, start: int, cap: int) -> 
     gallops up from start, doubling p, until the flip is bracketed, then
     halves its bracket. Quotients are read by seq.log_m_fast, and no probe
     lands past an entry's bracket: a closed form may refuse indices far
-    beyond the crossover (q_gevrey's past p = 1e15). The +-2 window of
-    _window_terms absorbs rounding disagreements with the prefix.
+    beyond the crossover (q_gevrey's past p = 1e15). The evaluator's +-2
+    window absorbs rounding disagreements with the prefix. Its cap is at
+    most 2^60, so every index fits in int64.
     """
-    dtype = np.int64 if cap < 2**62 else object  # Python ints past int64's reach
-    lo, hi = np.full(log_u.size, start, dtype), np.full(log_u.size, cap + 1, dtype)
+    lo, hi = np.full(log_u.size, start, np.int64), np.full(log_u.size, cap + 1, np.int64)
     f_lo, f_hi = np.full(log_u.size, np.nan), np.full(log_u.size, np.nan)  # log m there
     rows, chord = np.arange(log_u.size), False
     while rows.size:
         l, h = lo[rows], hi[rows]
         p = np.where(h > cap, np.minimum(2 * l + 2, cap), (l + h) // 2)
-        if chord and dtype is not object:
+        if chord:
             # log m is close to linear in log(p+1) for the gevrey-like
             # families: every other round aims where the chord between the
             # bracket ends crosses log u (nan until both ends are probed)
@@ -106,61 +102,13 @@ def _crossings(seq: WeightSequence, log_u: np.ndarray, start: int, cap: int) -> 
 _WINDOW = np.arange(-2, 3)
 
 
-def _window_terms(seq: WeightSequence, log_u: np.ndarray, pivot: np.ndarray, top: int):
-    """(p, terms): p = pivot-2, ..., pivot+2 in each row and p log u - log M_p
-    there, -inf where p lies outside [0, top]. log M is read by
-    seq.log_M_extended at no index outside that range."""
-    p = pivot[:, None] + _WINDOW
-    q = np.minimum(np.maximum(p, 0), top)
-    terms = p * log_u[:, None] - seq.log_M_extended(q)
-    terms[q != p] = -math.inf
-    return p, terms
-
-
-def associated_function_argmax(seq: WeightSequence, t: float, p_cap: int = 100_000) -> tuple[float, int]:
-    """(omega_M(t), argmax p) with the sup restricted to 0 <= p <= p_cap.
-
-    Log-convex sequences are handled by a search for the quotient crossover
-    (with a small safety window); everything else falls back to a
-    brute-force scan. An argmax pinned at p_cap means the cap truncated the
-    sup and is an error.
-    """
-    t, p_cap = float(t), int(p_cap)
+def associated_function(seq: WeightSequence, t: float) -> float:
+    """omega_M(t) = sup over p >= 0 of (p log t - log M_p), with
+    omega_M(0) = 0: one scalar call of omega_evaluator(seq)."""
+    t = float(t)
     if not (t >= 0) or not math.isfinite(t):
-        raise ValidationError("AssocFnQuery: field 't' must be finite and >= 0")
-    if p_cap < 2:
-        raise ValidationError("AssocFnQuery: field 'p_cap' must be an integer >= 2")
-    if t == 0.0:
-        return 0.0, 0
-    log_t = math.log(t)
-    if seq.certifies("lc"):
-        log_u = np.array([log_t])
-        pivot = np.minimum(_crossings(seq, log_u, -1, p_cap), p_cap)
-        p, terms = _window_terms(seq, log_u, pivot, p_cap)
-        j = int(np.argmax(terms[0]))
-        best_p, best_v = int(p[0, j]), float(terms[0, j])
-    else:
-        if p_cap > BRUTE_CAP_LIMIT:
-            raise ValidationError(
-                f"associated_function: p_cap {p_cap} exceeds the brute-force "
-                f"limit {BRUTE_CAP_LIMIT} for a sequence without certified log-convexity"
-            )
-        logM = seq.log_M_array(p_cap)
-        f = np.arange(p_cap + 1, dtype=float) * log_t - logM
-        best_p = int(np.argmax(f))
-        best_v = float(f[best_p])
-    if best_p >= p_cap:
-        raise ValidationError(
-            f"associated_function: argmax at p_cap = {p_cap} for t = {t:g}; p_cap too small"
-        )
-    # + 0.0 turns a -0.0 maximum (p = 0 term below t = 1) into +0.0
-    return max(best_v, 0.0) + 0.0, best_p
-
-
-def associated_function(seq: WeightSequence, t: float, p_cap: int = 100_000) -> float:
-    """omega_M(t) = max over 0 <= p <= p_cap of (p log t - log M_p), with
-    omega_M(0) = 0."""
-    return associated_function_argmax(seq, t, p_cap)[0]
+        raise ValidationError("associated_function: t must be finite and >= 0")
+    return omega_evaluator(seq)(t)
 
 
 def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float], float]:
@@ -170,11 +118,12 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     call is `many` on one entry. For log-convex sequences np.searchsorted
     finds each crossover in the prefix quotients; the nodes with none there
     search past it together, each distinct |t| once (_crossings). Other
-    sequences take the brute-force sup of associated_function under a cap
-    that grows on demand, with one log M table per cap. The reachable index
-    range ends where closed forms do: sequences without a closed-form log M
-    stop at the cumulative evaluation limit, and past it `many` raises
-    EvaluationError, which the Poisson tail handler treats as truncation.
+    sequences take their own brute-force sup over 0 <= p <= cap, the cap
+    growing on demand, with one log M table per cap. The reachable index is
+    2^60 for a log-convex sequence with a closed-form log M, and
+    BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the prefix.
+    Past it `many` raises EvaluationError, which the Poisson tail handler
+    treats as truncation.
 
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
@@ -182,8 +131,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
-    cap_limit = 2**60 if seq._closed_M is not None else BIG_INDEX_LIMIT - 1
     convex = seq.certifies("lc")
+    cap_limit = 2**60 if convex and seq._closed_M is not None else BIG_INDEX_LIMIT - 1
     # log m_0..log m_(n-1) of the prefix as last seen; the prefix only ever
     # grows, so its length identifies it
     quotients = np.zeros(0)
@@ -193,7 +142,12 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         return EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
 
     def window(log_u: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-        terms = _window_terms(seq, log_u, pivot, cap_limit + 2)[1]
+        """max of p log u - log M_p over p = pivot-2, ..., pivot+2 in each row,
+        skipping p < 0."""
+        p = pivot[:, None] + _WINDOW
+        q = np.maximum(p, 0)
+        terms = p * log_u[:, None] - seq.log_M_extended(q)
+        terms[q != p] = -math.inf
         # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
         return np.maximum(terms.max(axis=1), 0.0) + 0.0
 
@@ -223,25 +177,23 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
                     raise beyond(u[~ok].min())
             out[live] = window(log_u, pivot)
             return out
-        # the sup of associated_function over 0 <= p <= cap, the cap growing 4x
-        # from 4096 for the nodes whose argmax it pins; caps past the
-        # brute-force limit pin every node
+        # the sup over 0 <= p <= cap, the cap growing 4x from 4096 for the
+        # nodes whose argmax it pins
         if not np.isfinite(u).all():
             raise beyond(u[~np.isfinite(u)][0])
         rows, cap = np.arange(u.size), 4096
         while rows.size:
-            if cap <= BRUTE_CAP_LIMIT:
-                if cap not in brute:
-                    brute[cap] = (np.arange(cap + 1, dtype=float), seq.log_M_array(cap))
-                index, log_M = brute[cap]
-                pinned, per = [], max(1, 2**20 // (cap + 1))  # nodes per block of f
-                for block in (rows[i : i + per] for i in range(0, rows.size, per)):
-                    f = index * log_u[block, None] - log_M
-                    best = np.argmax(f, axis=1)
-                    done = best < cap
-                    out[live[block[done]]] = np.maximum(f[np.flatnonzero(done), best[done]], 0.0) + 0.0
-                    pinned.append(block[~done])
-                rows = np.concatenate(pinned)
+            if cap not in brute:
+                brute[cap] = (np.arange(cap + 1, dtype=float), seq.log_M_array(cap))
+            index, log_M = brute[cap]
+            pinned, per = [], max(1, 2**20 // (cap + 1))  # nodes per block of f
+            for block in (rows[i : i + per] for i in range(0, rows.size, per)):
+                f = index * log_u[block, None] - log_M
+                best = np.argmax(f, axis=1)
+                done = best < cap
+                out[live[block[done]]] = np.maximum(f[np.flatnonzero(done), best[done]], 0.0) + 0.0
+                pinned.append(block[~done])
+            rows = np.concatenate(pinned)
             if rows.size and cap >= cap_limit:
                 raise beyond(u[rows].min())
             cap = min(cap * 4, cap_limit)

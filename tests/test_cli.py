@@ -186,6 +186,33 @@ def test_verify_unknown_suite(capsys):
     assert code == 1 and "unknown suite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", GEVREY25, "--horizon", "abc"),
+        ("analyze", GEVREY25, "--bogus"),
+        ("analyze", GEVREY25, "--format", "yaml"),
+        ("analyze",),
+        ("frobnicate",),
+        (),
+    ],
+    ids=["bad-int", "unknown-flag", "bad-choice", "no-spec", "unknown-command", "no-command"],
+)
+def test_parser_errors_are_one_error_line(argv, capsys):
+    # exit 2 means "every verdict inconclusive", so a bad command line must
+    # not end with argparse's usage and exit 2
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "usage: momentgate analyze" in capsys.readouterr().out
+
+
 def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTGATE_CACHE_DIR", str(tmp_path))
     spec = '{"kind":"example38"}'
@@ -334,8 +361,11 @@ def test_benchmark_tracer_installs():
 
 
 def test_public_names_all_resolve():
-    # a deletion that leaves a dangling export breaks `from momentgate import *`
-    names = momentgate.__all__
-    assert len(names) == len(set(names))
-    missing = [n for n in names if not hasattr(momentgate, n)]
-    assert missing == []
+    # a deletion that leaves a dangling export breaks `from ... import *`
+    from momentgate import cache, cli, moments, verdicts, verification
+
+    for module in (momentgate, cache, cli, moments, verdicts, verification):
+        names = module.__all__
+        assert len(names) == len(set(names)), module.__name__
+        missing = [n for n in names if not hasattr(module, n)]
+        assert missing == [], module.__name__

@@ -26,7 +26,7 @@ from momentgate import (
     verify_poisson_lower_bound,
 )
 from momentgate import special_functions
-from momentgate.special_functions import _integrate, associated_function_argmax
+from momentgate.special_functions import _integrate
 
 CATALAN = 0.915965594177219
 
@@ -37,8 +37,6 @@ def test_associated_function_factorial_closed_form():
     assert associated_function(g1, math.e) == pytest.approx(
         2.0 - math.log(2.0), rel=1e-14
     )
-    value, argmax = associated_function_argmax(g1, math.e)
-    assert argmax == 2
     assert associated_function(g1, 0.0) == 0.0
     # below t = 1 every term p log t - log M_p is <= 0, so the sup is 0
     assert associated_function(g1, 0.5) == 0.0
@@ -88,10 +86,6 @@ def test_omega_evaluator_huge_argument_uses_closed_form():
     p = np.arange(10**9 - 2, 10**9 + 3)
     direct = (p * math.log(t) - seq.log_M_extended(p)).max()
     assert v == pytest.approx(direct, rel=1e-12)
-    # a cap past int64's reach searches on Python ints
-    p = np.array([10**19 + k for k in range(-2, 3)], dtype=object)
-    direct = max((p * math.log(1e19) - seq.log_M_extended(p)).tolist())
-    assert associated_function(seq, 1e19, 10**30) == pytest.approx(direct, rel=1e-12)
 
 
 def test_poisson_transform_constant_weight():
@@ -272,6 +266,27 @@ def test_omega_many_raises_past_the_reachable_index():
         omega.many(np.array([2.0, 1e19]))
     with pytest.raises(EvaluationError, match="beyond index"):
         omega(1e19)
+
+
+def test_omega_brute_force_reaches_the_cumulative_limit():
+    # without (lc) the brute force reads only the prefix, up to index
+    # BIG_INDEX_LIMIT - 1, though this explicit tail has a closed form
+    seq = make_sequence(ExplicitSpec((0.4, 0.1, 0.9, 0.6), "arithmetic", 1e-5))
+    omega = omega_evaluator(seq)
+    u = math.exp(15.6)
+    f = np.arange(2_000_000, dtype=float) * math.log(u) - seq.log_M_array(1_999_999)
+    assert int(np.argmax(f)) == 1_500_003  # past 2^20
+    assert omega(u) == f.max()
+    with pytest.raises(EvaluationError, match="beyond index"):
+        omega(math.exp(25.6))
+
+
+def test_associated_function_is_the_evaluators_scalar_call():
+    seq = make_sequence(GevreySpec(s=1.0))
+    assert associated_function(seq, 2e5) == omega_evaluator(seq)(2e5)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^associated_function:"):
+            associated_function(seq, t)
 
 
 # (s, scale, z, P, shells, radius) for P[omega_{hat gevrey(s)}(scale |t|)](z)
