@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -367,6 +368,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # built once per process: main() may run many times in one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="momentgate",

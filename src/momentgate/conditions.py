@@ -482,7 +482,7 @@ def _block_log_suffix(
     return log_T
 
 
-def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, full: bool = True):
+def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
     """Shared engine for (snq) (alpha = beta = 1) and the beta-parametric
     condition (alpha = 0): the sup over p of
 
@@ -491,9 +491,9 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
     Delta-block families probe R at dyadic indices plus the block boundaries,
     with suffix sums from _block_log_suffix. Otherwise the suffix sums take
     the computed terms up to the horizon plus a fitted integral tail, and
-    the sup runs over p <= horizon/2. With full=False only the status is
-    wanted: no diagnostics, and a tail fit that decides the series divergent
-    or inconclusive skips the sums.
+    the sup runs over p <= horizon/2. This is the exact engine: its
+    diagnostics and constants go into reports bit for bit. gamma_beta_status
+    decides most probes without it (_sup_status) and falls back to it.
     """
     profile = seq.block_profile()
     if profile is not None:
@@ -522,12 +522,11 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
         }
         return _sup_verdict(lR, diagnostics, window=2)
     x, logm, D, fit = tail_series(seq, horizon, alpha, beta)
-    kind = _tail_decision(fit, beta, len(D))[0]
-    report = classify_series(D, beta, fit) if full or kind == "convergent" else None
-    diagnostics = {"series": report} if full else {}
-    if kind == "divergent":
+    report = classify_series(D, beta, fit)
+    diagnostics = {"series": report}
+    if report.kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
-    if kind == "inconclusive":
+    if report.kind == "inconclusive":
         return Status.INCONCLUSIVE, {}, None, diagnostics
     suffix = numerics.logsumexp_suffix(-D / beta)
     # log_total aggregates from p=0; recover the beyond-horizon tail piece
@@ -535,11 +534,99 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float, fu
     T = np.logaddexp(suffix, tail_piece)
     half = horizon // 2 + 1
     lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T[:half]
-    if full:
-        diagnostics["sup_trace"] = [
-            (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
-        ]
+    diagnostics["sup_trace"] = [
+        (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
+    ]
     return _sup_verdict(lR, diagnostics)
+
+
+# Status-only gamma probes sum their terms in rows of this many. A suffix
+# sum, scaled to the larger of its row's top term and the rows after it, is
+# read only when at least _UNDERFLOW: below it, terms that underflowed to
+# zero could matter.
+_CHUNK = 2048
+_UNDERFLOW = 1e-280
+_EPS = float(np.finfo(float).eps)
+
+
+def _sup_status(
+    x: np.ndarray, logm: np.ndarray, beta: float, horizon: int, log_tail: Optional[float]
+) -> Optional[Status]:
+    """The status of _sup_series(seq, horizon, 0, beta) on a convergent
+    series with fitted tail log_tail, or None when it cannot be certified.
+
+    The suffix sums T_p = log(sum_{q>=p} e^(t_q) + tail), t = -log m/beta,
+    come from per-row exp, reversed cumsum and log, with the later rows
+    carried in by one short fold over the row totals; R(p) and its running
+    sup follow as in _sup_verdict. The exact engine folds term by term
+    instead, so its floats differ from these by at most `margin`: both
+    engines' folds (8*(n + rows + row length)*eps per unit of the largest
+    magnitude), plus the rounding of its tail piece
+    log_sub_exp(log_total, log_partial), at most about
+    ulp(log_total)*e^(log_total - T_p). A tail below ulp(log_partial)/8
+    relative to the partial sum rounds away in log_total, so it counts as
+    none. The status stands when the sup gap clears both thresholds by the
+    margin; non-finite terms, underflow and a gap within the margin of a
+    threshold give None.
+    """
+    n, half = logm.size, horizon // 2 + 1
+    rows, k = -(-n // _CHUNK), -(-half // _CHUNK)  # all rows; rows holding p < half
+    grid = np.empty((rows, _CHUNK))  # worked on in place: no n-sized temporaries
+    flat = grid.reshape(-1)
+    np.divide(logm, -beta, out=flat[:n])  # t, bit for bit as the exact engine's
+    flat[n:] = -math.inf
+    top = grid.max(axis=1)
+    lo, hi = float(flat[:n].min()), float(top.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    grid -= top[:, None]
+    np.exp(grid, out=grid)
+    totals = top + np.log(grid.sum(axis=1))
+    after = np.logaddexp.accumulate(totals[::-1])[::-1]  # rows j..rows-1
+    head = grid[:k]
+    np.cumsum(head[:, ::-1], axis=1, out=head[:, ::-1])  # suffix sums within a row
+    P = float(after[0])
+    V = max(abs(lo), abs(P)) + 1.0
+    fold = 8.0 * (n + _CHUNK + rows) * _EPS * V  # both engines' folds
+    carry = np.append(after[1:], -math.inf)[:k]  # the rows after each row
+    LT = None  # log(partial sum + tail) when the exact engine keeps a tail piece
+    if log_tail is not None:
+        floor = abs(P) - fold
+        if not (floor > 0 and log_tail - P + fold < math.log(math.ulp(floor) / 8)):
+            carry = np.logaddexp(carry, log_tail)
+            LT = float(np.logaddexp(P, log_tail))
+            # the tail piece's log1mexp is as large as -log(ulp(log_total))
+            V = max(V, abs(log_tail) + 1.0, abs(LT) + 1.0, 1.0 - math.log(math.ulp(abs(LT))))
+            fold = 8.0 * (n + _CHUNK + rows) * _EPS * V
+    scale = np.maximum(top[:k], carry)
+    head *= np.exp(top[:k] - scale)[:, None]
+    head += np.exp(carry - scale)[:, None]
+    T = flat[:half]
+    if T.min() < _UNDERFLOW:
+        return None
+    np.log(T, out=T)
+    head += scale[:, None]  # T, a view of head, now holds T_p
+    tail = 0.0
+    if LT is not None:
+        log_tail_error = math.log(math.ulp(abs(LT) + fold)) + LT + fold - float(T.min())
+        if log_tail_error > math.log(0.25):
+            return None
+        tail = math.exp(log_tail_error)
+    lR = logm[:half] / beta
+    lR -= x[:half]
+    lR += T
+    final = float(lR.max())
+    gap = final - float(lR[: max((3 * half) // 4 - 1, 0) + 1].max())
+    size = max(abs(final), abs(float(lR.min()))) + 1.0
+    margin = 2.0 * (fold + 2.0 * tail) + 8.0 * _EPS * size
+    stable, growth = math.log1p(STAB_RTOL), math.log(GROWTH_FACTOR)
+    if gap + margin <= stable:
+        return Status.HOLDS_AT_HORIZON
+    if gap - margin > growth:
+        return Status.FAILS
+    if gap - margin > stable and gap + margin <= growth:
+        return Status.INCONCLUSIVE
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -633,19 +720,37 @@ def check_gamma_beta(
     R(p) = m_p^(1/beta) * sum_{q>=p} m_q^(-1/beta) / (p+1) stabilizes, fails
     on divergence of the series or sustained growth of R, else inconclusive.
     """
-    status, constants, witness, diagnostics = _gamma_beta(seq, beta, horizon, True)
+    _check_gamma_args(beta, horizon)
+    status, constants, witness, diagnostics = _sup_series(seq, horizon, 0.0, beta)
     diagnostics = {**diagnostics, "beta": beta}
     return Verdict(f"gamma_{beta:g}", status, horizon, constants, witness, diagnostics)
 
 
 def gamma_beta_status(seq: WeightSequence, beta: float, horizon: int = 4096) -> Status:
-    """check_gamma_beta(seq, beta, horizon).status, without building the verdict."""
-    return _gamma_beta(seq, beta, horizon, False)[0]
+    """check_gamma_beta(seq, beta, horizon).status, without building the verdict.
+
+    A tail fit that finds the series divergent or inconclusive settles the
+    probe at once. A convergent one goes to the certified fast path
+    (_sup_status), which needs no term-by-term fold; where it cannot certify
+    the status (non-finite terms, underflow, a sup gap near a threshold), and
+    for delta-block families, the exact engine _sup_series decides.
+    """
+    _check_gamma_args(beta, horizon)
+    if seq.block_profile() is None:
+        x, logm, _, fit = tail_series(seq, horizon, 0.0, beta)
+        kind, _, log_tail = _tail_decision(fit, beta, horizon + 1)
+        if kind == "divergent":
+            return Status.FAILS
+        if kind == "inconclusive":
+            return Status.INCONCLUSIVE
+        status = _sup_status(x, logm, beta, horizon, log_tail)
+        if status is not None:
+            return status
+    return _sup_series(seq, horizon, 0.0, beta)[0]
 
 
-def _gamma_beta(seq: WeightSequence, beta: float, horizon: int, full: bool):
+def _check_gamma_args(beta: float, horizon: int) -> None:
     if not (beta > 0) or not math.isfinite(beta):
         raise ValidationError("check_gamma_beta: beta must be a finite number > 0")
     if horizon < 64:
         raise ValidationError("check_gamma_beta: horizon must be >= 64")
-    return _sup_series(seq, horizon, 0.0, beta, full)

@@ -418,7 +418,9 @@ class WeightSequence:
         top = p.max(initial=0)
         if top >= len(self._prefix):
             grow = p if self._closed_M is None else p[p <= self._CLOSED_FORM_AFTER]
-            self._ensure(int(grow.max(initial=0)) + 1)
+            # past the limit, _ensure names the first index it cannot reach
+            past = grow[grow > BIG_INDEX_LIMIT]
+            self._ensure(int(past.min() if past.size else grow.max(initial=0)) + 1)
         prefix = np.frombuffer(self._prefix)
         if top < prefix.size:
             return prefix[p.astype(np.intp)]

@@ -120,10 +120,11 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     search past it together, each distinct |t| once (_crossings). Other
     sequences take their own brute-force sup over 0 <= p <= cap, the cap
     growing on demand, with one log M table per cap. The reachable index is
-    2^60 for a log-convex sequence with a closed-form log M, and
-    BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the prefix.
-    Past it `many` raises EvaluationError, which the Poisson tail handler
-    treats as truncation.
+    2^60 for a log-convex sequence with a closed-form log M, BIG_INDEX_LIMIT
+    - 2 for one without (its +-2 window reads the prefix up to the limit),
+    and BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the
+    prefix. Past it `many` raises EvaluationError, which the Poisson tail
+    handler treats as truncation.
 
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
@@ -132,7 +133,10 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
     convex = seq.certifies("lc")
-    cap_limit = 2**60 if convex and seq._closed_M is not None else BIG_INDEX_LIMIT - 1
+    if not convex:
+        cap_limit = BIG_INDEX_LIMIT - 1
+    else:
+        cap_limit = 2**60 if seq._closed_M is not None else BIG_INDEX_LIMIT - 2
     # log m_0..log m_(n-1) of the prefix as last seen; the prefix only ever
     # grows, so its length identifies it
     quotients = np.zeros(0)
@@ -171,10 +175,10 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
                 # each distinct |t| once: adjacent shells share their panel ends
                 _, first, where = np.unique(u[past], return_index=True, return_inverse=True)
                 pivot[past] = _crossings(seq, log_u[past][first], n - 1, cap_limit)[where]
-                ok = pivot <= cap_limit
-                if not ok.all():  # nodes below the first unreachable one still grow the prefix
-                    out[live[ok]] = window(log_u[ok], pivot[ok])
-                    raise beyond(u[~ok].min())
+            ok = pivot <= cap_limit  # a prefix at the limit can hold pivots past it
+            if not ok.all():  # nodes below the first unreachable one still grow the prefix
+                out[live[ok]] = window(log_u[ok], pivot[ok])
+                raise beyond(u[~ok].min())
             out[live] = window(log_u, pivot)
             return out
         # the sup over 0 <= p <= cap, the cap growing 4x from 4096 for the

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentgate import (
+    DerivedSpec,
     ExplicitSpec,
     GevreySpec,
     QGevreySpec,
@@ -17,6 +18,8 @@ from momentgate import (
     classify_power_series,
     make_sequence,
 )
+from momentgate import conditions
+from momentgate.conditions import _sup_status, _tail_decision, gamma_beta_status, tail_series
 
 
 def wiggly():
@@ -123,6 +126,96 @@ def test_gamma_beta_constant_is_reported():
     v = check_gamma_beta(make_sequence(GevreySpec(s=3.0)), 1.0)
     assert v.affirmative
     assert v.constants["C"] >= 1.0
+
+
+# the status-only probe decides most convergent series without the exact
+# engine's term-by-term folds; every route must give the full check's status
+_STATUS_SPECS = (
+    GevreySpec(s=1.5),
+    GevreySpec(s=0.5),
+    QGevreySpec(q=2.0),
+    QGevreySpec(q=4.0),
+    ExplicitSpec((0.1, 0.3, 0.6), "arithmetic", 0.2),
+    ExplicitSpec((0.0, 0.5, 0.9), "power", 1.3),
+    DerivedSpec("hat", GevreySpec(s=1.5)),
+    DerivedSpec("check", GevreySpec(s=2.5)),
+    DerivedSpec("power", GevreySpec(s=1.2), 0.7),
+    DerivedSpec("dc_minorant", GevreySpec(s=2.0)),
+)
+
+
+def _fast_status(seq, beta, horizon):
+    """_sup_status on a series the tail fit finds convergent, else the
+    tail fit's kind."""
+    x, logm, _, fit = tail_series(seq, horizon, 0.0, beta)
+    kind, _, log_tail = _tail_decision(fit, beta, horizon + 1)
+    return _sup_status(x, logm, beta, horizon, log_tail) if kind == "convergent" else kind
+
+
+@pytest.mark.parametrize("horizon", (64, 1000, 4096, 100_000))
+def test_gamma_beta_status_matches_the_full_check(horizon):
+    for spec in _STATUS_SPECS:
+        seq = make_sequence(spec)
+        for beta in (0.05, 0.2, 0.7, 1.25, 3.0, 64.0):
+            assert gamma_beta_status(seq, beta, horizon) is check_gamma_beta(seq, beta, horizon).status
+
+
+def _bumped(bump, slope=1.02, horizon=4096):
+    # log m = slope * log(p+1), plus a steeper stretch over 1536 <= p <= 2048:
+    # R(p) rises across the last quartile of p <= horizon/2 while the series
+    # still converges
+    a, b = math.log(1537), math.log(2049)
+    x = [math.log(p + 1) for p in range(horizon + 1)]
+    log_m = tuple(slope * v + bump * min(max(v - a, 0.0), b - a) for v in x)
+    return make_sequence(ExplicitSpec(log_m, "power", slope))
+
+
+def test_gamma_beta_status_fast_path_decides_every_status():
+    for bump, beta, want in (
+        (0.0, 1.0, Status.HOLDS_AT_HORIZON),
+        (1.0, 1.0, Status.INCONCLUSIVE),
+        (4.0, 1.0, Status.FAILS),
+    ):
+        seq = _bumped(bump)
+        assert _fast_status(seq, beta, 4096) is want
+        assert gamma_beta_status(seq, beta, 4096) is want
+        assert check_gamma_beta(seq, beta, 4096).status is want
+
+
+def test_gamma_beta_status_falls_back_at_a_threshold():
+    # bisect the bump to where the exact sup gap meets log(GROWTH_FACTOR)
+    # to the last bits: no margin certifies a side, so the exact engine decides
+    lo, hi = 1.0, 4.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if check_gamma_beta(_bumped(mid), 1.0, 4096).status is Status.FAILS:
+            hi = mid
+        else:
+            lo = mid
+    for bump in (lo, hi):
+        seq = _bumped(bump)
+        assert _fast_status(seq, 1.0, 4096) is None
+        assert gamma_beta_status(seq, 1.0, 4096) is check_gamma_beta(seq, 1.0, 4096).status
+    assert gamma_beta_status(_bumped(hi), 1.0, 4096) is Status.FAILS
+
+
+@pytest.mark.parametrize("q, beta", [(4.0, 0.05), (2.0, 0.2)])
+def test_gamma_beta_status_falls_back_on_underflow(q, beta):
+    # the terms fall by more than 1e-280 within one row of the fast sums
+    seq = make_sequence(QGevreySpec(q=q))
+    assert _fast_status(seq, beta, 4096) is None
+    assert gamma_beta_status(seq, beta, 4096) is check_gamma_beta(seq, beta, 4096).status
+
+
+def test_gamma_beta_status_needs_no_exact_fold(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_series called")
+
+    monkeypatch.setattr(conditions, "classify_series", refuse)
+    seq = make_sequence(GevreySpec(s=1.5))
+    assert gamma_beta_status(seq, 1.25, 100_000) is Status.HOLDS_AT_HORIZON
 
 
 @given(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from momentgate import (
     DerivedSpec,
+    EvaluationError,
     Example38Spec,
     ExplicitSpec,
     GevreySpec,
@@ -334,3 +335,10 @@ def test_example38_increments_match_scalar_near_block_edges():
     for lo, hi in windows:
         want = [example38_log_m(p).hex() for p in range(lo, hi)]
         assert [v.hex() for v in seq.inc_array(lo, hi).tolist()] == want
+
+
+def test_log_M_extended_names_the_first_index_past_the_limit():
+    seq = make_sequence(Example38Spec())
+    with pytest.raises(EvaluationError, match="^index 2000001 exceeds"):
+        seq.log_M_extended(np.array([1_999_990, 2_000_005, 2_000_001]))
+    assert len(seq._prefix) == 1  # refused before growing anything

@@ -281,6 +281,21 @@ def test_omega_brute_force_reaches_the_cumulative_limit():
         omega(math.exp(25.6))
 
 
+def test_omega_window_stays_inside_the_cumulative_limit():
+    # example38 has (lc) but no closed-form log M: the +-2 window around a
+    # crossover reads the prefix, so the reach stops two short of the limit
+    ref = make_sequence(Example38Spec())
+    lm = [ref.log_m(p) for p in (1_999_997, 1_999_998, 1_999_999)]
+    # crossovers at p = 1999998 and p = 1999999
+    inside, past = (math.exp(0.5 * (a + b)) for a, b in zip(lm, lm[1:]))
+    omega = omega_evaluator(make_sequence(Example38Spec()))
+    with pytest.raises(EvaluationError, match="beyond index 1999998"):
+        omega(past)  # searched past the prefix
+    assert omega(inside) == omega_evaluator(ref)(inside) > 0.0
+    with pytest.raises(EvaluationError, match="beyond index 1999998"):
+        omega(past)  # read from the prefix, now grown to the limit
+
+
 def test_associated_function_is_the_evaluators_scalar_call():
     seq = make_sequence(GevreySpec(s=1.0))
     assert associated_function(seq, 2e5) == omega_evaluator(seq)(2e5)
