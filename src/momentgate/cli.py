@@ -1,9 +1,12 @@
 """Command line surface: analyze one sequence, sweep a family, run a
 verification battery.
 
+Each subcommand declares only the flags it reads (`momentgate COMMAND
+--help` lists them); any other flag, or a value out of range, is an error.
+
 Exit codes: 0 success, 1 error, 2 analyze finished but produced only
 non-definite verdicts. JSON output is canonical (sorted keys, no spaces),
-so identical spec, config, and seed give identical bytes.
+so identical arguments give identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import List, Optional
 
 from . import cache
@@ -29,47 +31,7 @@ from .sequences import BIG_INDEX_LIMIT, SequenceSpec, make_sequence, spec_from_j
 from .verdicts import MomentMapReport, classify
 from .verification import SUITES, run_suite
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by every command."""
-
-    horizon: int = 10_000
-    tol: float = 0.05
-    quad_tol: float = 1e-8
-    output: str = "pretty"
-    seed: int = 0
-    jobs: int = 1
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.horizon < 64:
-            raise ValidationError("config: horizon must be >= 64")
-        # the checks read log m_horizon, i.e. log M up to index horizon + 1
-        if self.horizon >= BIG_INDEX_LIMIT:
-            raise ValidationError(f"config: horizon must be < {BIG_INDEX_LIMIT}")
-        if not (self.tol > 0):
-            raise ValidationError("config: tol must be > 0")
-        if not (self.quad_tol > 0):
-            raise ValidationError("config: quad_tol must be > 0")
-        if self.output not in ("json", "csv", "pretty"):
-            raise ValidationError("config: output must be json, csv, or pretty")
-        if self.jobs < 1:
-            raise ValidationError("config: jobs must be >= 1")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        horizon=args.horizon,
-        tol=args.tol,
-        quad_tol=args.quad_tol,
-        output=args.format,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-    )
+__all__ = ["main"]
 
 
 def _dumps(data) -> str:
@@ -223,22 +185,21 @@ def _render_pretty(rep: MomentMapReport) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config(args)
     spec = _load_spec(args.spec)
     seq = make_sequence(spec)
     cache.warm(seq)
-    report = classify(seq, horizon=config.horizon, tol=config.tol)
+    report = classify(seq, horizon=args.horizon, tol=args.tol)
     cache.persist(seq)
-    if config.output == "json":
+    if args.format == "json":
         text = _dumps(report.to_json())
-    elif config.output == "csv":
+    elif args.format == "csv":
         kind = report.sequence.get("kind", "")
         param = {"gevrey": "s", "q_gevrey": "q"}.get(kind, "")
         value = report.sequence.get(param) if param else None
         text = _rows_to_csv([_row_from_report(kind, param, value, report)])
     else:
         text = _render_pretty(report)
-    _emit(text, config.out)
+    _emit(text, args.out)
     return 0 if report.any_definite else 2
 
 
@@ -289,7 +250,6 @@ def _parse_values(args: argparse.Namespace) -> List[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config(args)
     if args.family not in _FAMILIES:
         raise ValidationError(
             f"sweep: unknown family {args.family!r}; choose from {sorted(_FAMILIES)}"
@@ -298,26 +258,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_values(args)
     if not values:
         raise ValidationError("sweep: empty grid")
-    tasks = [(args.family, param, v, config.horizon, config.tol) for v in values]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    tasks = [(args.family, param, v, args.horizon, args.tol) for v in values]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
-    _emit(_rows_to_csv(rows), config.out)
+    _emit(_rows_to_csv(rows), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config(args)
     report = run_suite(
         args.suite,
-        horizon=config.horizon,
-        tol=config.tol,
-        quad_tol=config.quad_tol,
-        seed=config.seed,
+        horizon=args.horizon,
+        tol=args.tol,
+        quad_tol=args.quad_tol,
+        seed=args.seed,
     )
-    if config.output == "json":
+    if args.format == "json":
         text = _dumps(report.to_json())
     else:
         lines = [f"suite {report.suite}: {'ok' if report.ok else 'FAILED'}"]
@@ -335,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if c.note:
                 lines.append(f"    {c.note}")
         text = "\n".join(lines)
-    _emit(text, config.out)
+    _emit(text, args.out)
     return 0 if report.ok else 1
 
 
@@ -343,20 +302,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--horizon", type=int, default=10_000, help="index horizon")
-    p.add_argument("--tol", type=float, default=0.05, help="index bracket tolerance")
-    p.add_argument(
-        "--quad-tol", dest="quad_tol", type=float, default=1e-8,
-        help="quadrature tolerance",
-    )
-    p.add_argument(
-        "--format", choices=("json", "csv", "pretty"), default="pretty",
-        help="output format",
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
+def _checked(convert, ok, rule: str):
+    """argparse type: convert the text, then refuse a value that fails `ok`
+    with "argument --flag: must be <rule>"."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):  # not (x > 0) also refuses nan
+            raise argparse.ArgumentTypeError(f"must be {rule}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'abc'"
+    return parse
+
+
+_POSITIVE = _checked(float, lambda x: x > 0, "> 0")
+# the checks read log m_horizon, i.e. log M up to index horizon + 1
+_HORIZON = _checked(int, lambda h: 64 <= h < BIG_INDEX_LIMIT, f">= 64 and < {BIG_INDEX_LIMIT}")
+
+# every flag a subcommand may take, with its add_argument keywords
+_FLAGS = {
+    "--horizon": dict(type=_HORIZON, default=10_000, help="index horizon"),
+    "--tol": dict(type=_POSITIVE, default=0.05, help="index bracket tolerance"),
+    "--quad-tol": dict(type=_POSITIVE, default=1e-8, help="quadrature tolerance"),
+    "--format": dict(choices=("json", "csv", "pretty"), default="pretty", help="output format"),
+    "--seed": dict(type=int, default=0, help="seed for randomized suites"),
+    "--jobs": dict(type=_checked(int, lambda j: j >= 1, ">= 1"), default=1, help="worker processes"),
+    "--out": dict(metavar="FILE", help="write output to FILE"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,19 +357,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one sequence spec")
     p.add_argument("spec", help="inline spec JSON or a path to a spec file")
-    _add_common(p)
+    _add_flags(p, "--horizon", "--tol", "--format", "--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="CSV report over a parameter grid")
     p.add_argument("family", help="parameterized family: gevrey or q_gevrey")
     p.add_argument("--grid", default=None, help="start:stop:step (inclusive)")
     p.add_argument("--values", default=None, help="comma-separated values")
-    _add_common(p)
+    _add_flags(p, "--horizon", "--tol", "--jobs", "--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a named verification battery")
     p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    _add_common(p)
+    _add_flags(p, "--horizon", "--tol", "--quad-tol", "--seed", "--format", "--out")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -43,7 +43,6 @@ class Status(Enum):
     HOLDS_AT_HORIZON = "holds_at_horizon"
     FAILS = "fails"
     INCONCLUSIVE = "inconclusive"
-    CONDITIONAL = "conditional"
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def _tail_fit(x: np.ndarray, D: np.ndarray) -> Optional[tuple[float, float, floa
     return c1, c2, c_fit, b_fit
 
 
-def _tail_decision(fit, theta: float, n: int) -> tuple[str, float, Optional[float]]:
+def tail_decision(fit, theta: float, n: int) -> tuple[str, float, Optional[float]]:
     """(kind, exponent, log of the fitted tail beyond n or None) of
     sum_{p<n} exp(-D_p/theta). Stable fits compare c against theta; unstable
     fits still decide the clear cases (both slopes far above or below it)."""
@@ -170,23 +169,21 @@ def _tail_decision(fit, theta: float, n: int) -> tuple[str, float, Optional[floa
 
 
 def classify_series(
-    log_denominators: np.ndarray, theta: float, fit: Optional[tuple] = None, partial: bool = True
+    log_denominators: np.ndarray, theta: float, fit: Optional[tuple] = None
 ) -> SeriesReport:
     """Classify sum_p exp(-D_p/theta) from the first len(D) terms.
 
     The composite slope c of D against log(p+1) is fitted on the two halves
     of the last quartile; pass `fit` when the caller has it from tail_series.
-    partial=False skips the partial sums: log_partial, log_total and trace are
-    then nan, nan and empty; kind, exponent and windows do not change.
+    A caller that needs only the kind or the exponent takes them from
+    tail_decision, without the partial sums.
     """
     D = np.asarray(log_denominators, dtype=float)
     n = len(D)
     if fit is None:
         fit = _tail_fit(np.log(np.arange(1, n + 1, dtype=float)), D)
-    kind, c, log_tail = _tail_decision(fit, theta, n)
+    kind, c, log_tail = tail_decision(fit, theta, n)
     windows = (math.nan, math.nan) if fit is None else fit[:2]
-    if not partial:
-        return SeriesReport(kind, theta, c, windows, math.nan, math.nan, ())
     lp = np.logaddexp.accumulate(-D / theta)
     trace = tuple((int(i), float(lp[i - 1])) for i in numerics.geometric_indices(n, 24))
     log_total = math.nan
@@ -339,11 +336,7 @@ def _check_dc(seq: WeightSequence, horizon: int):
     logm = seq.log_m_array(horizon)
     r = logm / np.arange(1, horizon + 2, dtype=float)
     stable, sup = numerics.running_sup_stabilized(r, STAB_RTOL)
-    try:
-        H = math.exp(max(sup, 0.0))
-    except OverflowError:
-        H = math.inf
-    constants = {"C0": 1.0, "H": H}
+    constants = {"C0": 1.0, "H": numerics.exp_or_inf(max(sup, 0.0))}
     diagnostics = {
         "sup_trace": [(int(i), float(np.max(r[:i]))) for i in numerics.geometric_indices(len(r), 16)],
     }
@@ -659,16 +652,15 @@ def check_condition(
     seq: WeightSequence,
     cond: str,
     horizon: int = 4096,
-    trust_metadata: bool = True,
 ) -> Verdict:
     """Check one growth condition up to the horizon.
 
-    Metadata certainty upgrades a numeric result to exact_holds; a numeric
-    failure with a witness under a metadata certificate is an internal
-    contradiction and raises, while a witness-less (horizon-limited)
-    failure leaves the certificate standing. A metadata refutation without
-    a numeric witness is reported inconclusive with the analytic note in the
-    diagnostics.
+    The numeric check always runs, and constructor metadata always applies:
+    certainty upgrades a numeric result to exact_holds; a numeric failure
+    with a witness under a certificate is an internal contradiction and
+    raises, while a witness-less (horizon-limited) failure leaves the
+    certificate standing. A metadata refutation without a numeric witness is
+    reported inconclusive with the analytic note in the diagnostics.
     """
     if cond not in CONDITIONS:
         raise ValidationError(f"check_condition: unknown condition {cond!r}")
@@ -679,8 +671,6 @@ def check_condition(
     if warning:
         diagnostics = {**diagnostics, "warning": warning}
     verdict = Verdict(cond, status, horizon, constants, witness, diagnostics)
-    if not trust_metadata:
-        return verdict
     if seq.certifies(cond):
         if status == Status.FAILS and witness is not None:
             raise InternalInvariantError(
@@ -738,7 +728,7 @@ def gamma_beta_status(seq: WeightSequence, beta: float, horizon: int = 4096) -> 
     _check_gamma_args(beta, horizon)
     if seq.block_profile() is None:
         x, logm, _, fit = tail_series(seq, horizon, 0.0, beta)
-        kind, _, log_tail = _tail_decision(fit, beta, horizon + 1)
+        kind, _, log_tail = tail_decision(fit, beta, horizon + 1)
         if kind == "divergent":
             return Status.FAILS
         if kind == "inconclusive":

@@ -28,12 +28,16 @@ from .conditions import (
     Status,
     check_gamma_beta,  # noqa: F401 -- benchmarks/tracing.py wraps indices.check_gamma_beta
     classify_power_series,
-    classify_series,
+    classify_series,  # noqa: F401 -- benchmarks/tracing.py wraps indices.classify_series
     gamma_beta_status,
+    tail_decision,
     tail_series,
 )
 from .errors import ValidationError
 from .sequences import EX38_K, EX38_Q, WeightSequence
+
+# the largest beta and mu probed; an index at or past it reports [INDEX_MAX, inf]
+INDEX_MAX = 64.0
 
 
 @dataclass(frozen=True)
@@ -100,20 +104,17 @@ def _min_pairwise_slope(seq: WeightSequence, horizon: int) -> float:
 def gamma_index(
     seq: WeightSequence,
     horizon: int = 4096,
-    beta_max: float = 64.0,
     tol: float = 0.05,
 ) -> IndexEstimate:
     """Bracket gamma(M) = sup{beta > 0 : the beta-condition holds}.
 
-    Bisection over (0, beta_max]; holding at beta_max itself reports the
+    Bisection over (0, INDEX_MAX]; holding at INDEX_MAX itself reports the
     +infinity marker in `upper`. An inconclusive probe is retried at two
     nudged positions; if neither settles, the bracket stops shrinking and
     converged is false.
     """
     if not (tol > 0):
         raise ValidationError("gamma_index: tol must be > 0")
-    if not (beta_max >= 1):
-        raise ValidationError("gamma_index: beta_max must be >= 1")
     samples: list[tuple[str, str]] = []
 
     def probe(beta: float) -> Status:
@@ -122,13 +123,13 @@ def gamma_index(
         return status
 
     converged = True
-    top = probe(beta_max)
+    top = probe(INDEX_MAX)
     if top in (Status.HOLDS_AT_HORIZON, Status.EXACT_HOLDS):
-        lower, upper = beta_max, math.inf
+        lower, upper = INDEX_MAX, math.inf
     else:
         if top == Status.INCONCLUSIVE:
             converged = False
-        lower, upper = 0.0, beta_max
+        lower, upper = 0.0, INDEX_MAX
         while upper - lower > tol:
             mid = 0.5 * (lower + upper)
             st = probe(mid)
@@ -158,7 +159,7 @@ def gamma_index(
     cross = _min_pairwise_slope(seq, horizon)
     if math.isinf(upper):
         quarter = _min_pairwise_slope(seq, max(horizon // 4, 64))
-        agree = cross >= beta_max or (quarter > 0 and cross >= 1.5 * quarter)
+        agree = cross >= INDEX_MAX or (quarter > 0 and cross >= 1.5 * quarter)
         estimate = math.inf
     else:
         agree = (lower - tol) <= cross <= (upper + tol)
@@ -185,7 +186,6 @@ def gamma_index(
 def _omega_series_value(
     seq: WeightSequence,
     horizon: int,
-    mu_max: float,
     tol: float,
     samples: list[tuple[str, str]],
 ) -> tuple[float, float]:
@@ -195,11 +195,11 @@ def _omega_series_value(
     oracle; otherwise the threshold is read off the fitted tail exponent.
     """
     if seq.block_profile() is not None:
-        lo, hi = 0.0, mu_max
-        rep = classify_power_series(seq, horizon, 0.0, mu_max)
-        samples.append((f"mu={mu_max:g}", rep.kind))
+        lo, hi = 0.0, INDEX_MAX
+        rep = classify_power_series(seq, horizon, 0.0, INDEX_MAX)
+        samples.append((f"mu={INDEX_MAX:g}", rep.kind))
         if rep.kind == "convergent":
-            return mu_max, math.inf
+            return INDEX_MAX, math.inf
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             rep = classify_power_series(seq, horizon, 0.0, mid)
@@ -212,24 +212,23 @@ def _omega_series_value(
                 return math.nan, math.nan
         return lo, hi
     _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
-    rep = classify_series(logm, 1.0, fit, partial=False)
-    samples.append(("tail_exponent", f"{rep.exponent:.6g}"))
-    if math.isnan(rep.exponent):
+    exponent = tail_decision(fit, 1.0, len(logm))[1]
+    samples.append(("tail_exponent", f"{exponent:.6g}"))
+    if math.isnan(exponent):
         return math.nan, math.nan
-    return rep.exponent, rep.exponent
+    return exponent, exponent
 
 
 def omega_index(
     seq: WeightSequence,
     horizon: int = 4096,
     tol: float = 0.05,
-    mu_max: float = 64.0,
 ) -> IndexEstimate:
     """Bracket omega(M) = liminf log(m_p)/log(p).
 
     The liminf route takes the minimum of the ratio over the tail half of the
     probe ladder and reports the +infinity marker when the ratio is still
-    growing by 50% per half-ladder above mu_max. The series route locates the
+    growing by 50% per half-ladder above INDEX_MAX. The series route locates the
     convergence threshold; converged requires agreement.
     """
     if horizon < 64:
@@ -241,14 +240,14 @@ def omega_index(
     ]
     tail = ratios[len(ratios) // 2 :]
     tail_min = min(tail)
-    growing = ratios[-1] >= 1.5 * ratios[len(ratios) // 2] and ratios[-1] > mu_max
-    s_lo, s_hi = _omega_series_value(seq, horizon, mu_max, tol, samples)
+    growing = ratios[-1] >= 1.5 * ratios[len(ratios) // 2] and ratios[-1] > INDEX_MAX
+    s_lo, s_hi = _omega_series_value(seq, horizon, tol, samples)
 
     if growing:
-        series_beyond = (not math.isnan(s_lo)) and s_lo >= mu_max
+        series_beyond = (not math.isnan(s_lo)) and s_lo >= INDEX_MAX
         return IndexEstimate(
             index="omega",
-            lower=mu_max,
+            lower=INDEX_MAX,
             upper=math.inf,
             estimate=math.inf,
             method="omega_liminf",

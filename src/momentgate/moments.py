@@ -149,9 +149,8 @@ def make_user(
     lo, hi = support
     if not (0.0 <= lo < hi):
         raise ValidationError("user: field 'support' must satisfy 0 <= lo < hi")
-    if log_envelope is None and math.isfinite(hi):
-        log_envelope = None  # compact support needs no tail certificate
-    elif log_envelope is None:
+    # compact support needs no tail certificate; unbounded support gets one
+    if log_envelope is None and math.isinf(hi):
         if math.isinf(decay_exponent):
             raise ValidationError(
                 "user: infinite decay_exponent needs an explicit log_envelope"
@@ -556,13 +555,12 @@ class LambdaFit:
     note: str
 
 
-def lambda_fit(
-    values: Sequence[float], M: WeightSequence, trend_tol: float = 0.05
-) -> LambdaFit:
+def lambda_fit(values: Sequence[float], M: WeightSequence) -> LambdaFit:
     """Least-slack fit of (c_p) against the scale C h^p p! M_p.
 
     Succeeds when the fitted h stops moving once the last quartile of
-    orders is withheld; raw residuals are exposed either way.
+    orders is withheld, by fit_growth_envelope's default trend tolerance
+    0.05; raw residuals are exposed either way.
     """
     if len(values) < 9:
         raise ValidationError("lambda_fit: need at least orders 0..8")
@@ -573,7 +571,7 @@ def lambda_fit(
             ratios.append(-math.inf)
         else:
             ratios.append(math.log(a) - math.lgamma(p + 1) - M.log_M(p))
-    fit = fit_growth_envelope(ratios, trend_tol=trend_tol)
+    fit = fit_growth_envelope(ratios)
     note = fit.note if fit.ok else (
         f"values not in the weighted class at this horizon; {fit.note}"
     )

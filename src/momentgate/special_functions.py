@@ -119,7 +119,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     finds each crossover in the prefix quotients; the nodes with none there
     search past it together, each distinct |t| once (_crossings). Other
     sequences take their own brute-force sup over 0 <= p <= cap, the cap
-    growing on demand, with one log M table per cap. The reachable index is
+    growing on demand, over one log M table that holds the largest cap
+    reached so far and is sliced for smaller ones. The reachable index is
     2^60 for a log-convex sequence with a closed-form log M, BIG_INDEX_LIMIT
     - 2 for one without (its +-2 window reads the prefix up to the limit),
     and BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the
@@ -140,7 +141,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     # log m_0..log m_(n-1) of the prefix as last seen; the prefix only ever
     # grows, so its length identifies it
     quotients = np.zeros(0)
-    brute: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # cap -> (0..cap, log M_0..log M_cap)
+    # (0..cap, log M_0..log M_cap) at the largest cap reached; the prefix never changes
+    index_all = log_M_all = np.zeros(0)
 
     def beyond(u: float) -> EvaluationError:
         return EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
@@ -157,7 +159,7 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
 
     def many(ts: np.ndarray) -> np.ndarray:
         """omega at every entry of the 1-D array ts."""
-        nonlocal quotients
+        nonlocal quotients, index_all, log_M_all
         u = scale * np.abs(np.asarray(ts, dtype=float))
         out = np.zeros(u.size)  # +0.0 at u == 0
         live = u.nonzero()[0]
@@ -187,9 +189,9 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
             raise beyond(u[~np.isfinite(u)][0])
         rows, cap = np.arange(u.size), 4096
         while rows.size:
-            if cap not in brute:
-                brute[cap] = (np.arange(cap + 1, dtype=float), seq.log_M_array(cap))
-            index, log_M = brute[cap]
+            if log_M_all.size <= cap:
+                index_all, log_M_all = np.arange(cap + 1, dtype=float), seq.log_M_array(cap)
+            index, log_M = index_all[: cap + 1], log_M_all[: cap + 1]
             pinned, per = [], max(1, 2**20 // (cap + 1))  # nodes per block of f
             for block in (rows[i : i + per] for i in range(0, rows.size, per)):
                 f = index * log_u[block, None] - log_M
@@ -258,6 +260,8 @@ _ENDS = np.array(
 # per-interval budget and subinterval limit of the scipy.integrate.quad
 # calls this quadrature replaced
 _EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-10, 100
+# doubling shells poisson_transform integrates before it gives up
+_MAX_SHELLS = 60
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
@@ -352,7 +356,7 @@ def _integrate(f, intervals: Sequence[tuple[float, float]]) -> list[tuple[float,
 
 
 def poisson_transform(
-    omega: Callable[[float], float], z, tol: float = 1e-8, max_shells: int = 60
+    omega: Callable[[float], float], z, tol: float = 1e-8
 ) -> PoissonResult:
     """Poisson integral of an even nonnegative weight at a point of H.
 
@@ -360,7 +364,7 @@ def poisson_transform(
     shells on both sides. Shell contributions of an admissible weight decay
     geometrically, so the remaining tail is extrapolated from the ratio of
     the last two shells; integration stops once that bound falls below
-    0.25 * tol * |value|. Exhausting max_shells, or the weight becoming
+    0.25 * tol * |value|. Exhausting _MAX_SHELLS shells, or the weight becoming
     unevaluable, with the bound still above tol * |value| raises.
 
     Shells go to _integrate in batches: 4, then as many as that ratio says
@@ -393,8 +397,8 @@ def poisson_transform(
     rate = 1.0  # the last shell ratio below 0.95
     shells, batch = 0, 4
     truncated = single = False
-    while shells < max_shells and not truncated:
-        k = 1 if single else min(batch, max_shells - shells)
+    while shells < _MAX_SHELLS and not truncated:
+        k = 1 if single else min(batch, _MAX_SHELLS - shells)
         radii = [r * 2.0**j for j in range(k)]
         try:
             pairs = _integrate(f, [iv for q in radii for iv in ((x + q, x + 2.0 * q), (x - 2.0 * q, x - q))])

@@ -147,7 +147,7 @@ def _surjective_from(
     g1: Verdict,
     borel_surjective: bool,
     hyps: Dict[str, Verdict],
-    gamma: Optional[IndexEstimate],
+    gamma: IndexEstimate,
     name: str,
     hyp_names: Tuple[str, ...],
     base_citation: str,
@@ -178,26 +178,20 @@ def _surjective_from(
                 "the index condition is necessary, so its failure refutes "
                 "surjectivity even without moderate growth"
             )
-    trace: dict = {
+    agrees = (gamma.lower > 1.0) == (_map_status(g1.status) is MapStatus.HOLDS)
+    trace = {
         "criterion": "sup_p m_p/(p+1) * sum_{q>=p} 1/m_q < infinity",
         "gamma_1": g1,
         "hypotheses": {k: hyps[k].status.value for k in hyp_names},
         "mg": hyps["mg"].status.value,
+        "gamma_index": gamma,
+        "corroboration": f"gamma bracket {'agrees' if agrees else 'disagrees'} with the direct check",
     }
-    if gamma is not None:
-        trace["gamma_index"] = gamma
-        corroborates = gamma.lower > 1.0
-        agrees = corroborates == (_map_status(g1.status) is MapStatus.HOLDS)
-        trace["corroboration"] = (
-            "gamma bracket agrees with the direct check"
-            if agrees
-            else "gamma bracket disagrees with the direct check"
+    if not agrees:
+        notes.append(
+            f"index bracket [{gamma.lower:g}, {gamma.upper:g}] does not "
+            "corroborate the direct check; trusting the direct check"
         )
-        if not agrees:
-            notes.append(
-                f"index bracket [{gamma.lower:g}, {gamma.upper:g}] does not "
-                "corroborate the direct check; trusting the direct check"
-            )
     status, gate_notes = _gate(status, hyp_names, hyps)
     return MapVerdict(
         name=name,
@@ -241,7 +235,7 @@ def _origin_pair(
     g1: Verdict,
     borel_surjective: bool,
     hyps: Dict[str, Verdict],
-    gamma: Optional[IndexEstimate],
+    gamma: IndexEstimate,
 ) -> Tuple[MapVerdict, MapVerdict]:
     """Origin mapping: the half-line criteria under the origin hypotheses;
     a log-convex sequence failing (nq) has a trivial domain instead."""

@@ -113,13 +113,17 @@ def _report(suite: str, checks, params) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # inversion
 
+# random jet pairs per round trip check, and the order of each jet
+_INVERSION_TRIALS, _INVERSION_ORDER = 100, 12
+
 
 def _random_fraction(rnd: random.Random) -> Fraction:
     return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
 
 
-def suite_inversion(seed: int = 0, trials: int = 100, order: int = 12) -> SuiteReport:
+def suite_inversion(seed: int = 0) -> SuiteReport:
     """Exact jet round trips, plain and phase-twisted, plus pinned examples."""
+    trials, order = _INVERSION_TRIALS, _INVERSION_ORDER
     rnd = random.Random(seed)
     checks = []
 

@@ -273,6 +273,6 @@ def test_a10_q_gevrey_profile():
     mg = check_condition(q, "mg", horizon=4096)
     assert mg.status.value == "fails"
     assert mg.witness is not None and mg.witness["excess"] > 0
-    g = gamma_index(q, horizon=4096, beta_max=64.0)
+    g = gamma_index(q, horizon=4096)
     assert g.lower == 64.0
     assert jsonable(g.upper) == "inf"

@@ -14,8 +14,7 @@ import pytest
 
 import momentgate
 
-from momentgate.cli import _CSV_FIELDS, RunConfig, main
-from momentgate.errors import ValidationError
+from momentgate.cli import _CSV_FIELDS, main
 
 
 def run(capsys, *argv):
@@ -27,16 +26,21 @@ def run(capsys, *argv):
 GEVREY25 = '{"kind":"gevrey","s":2.5}'
 
 
-def test_run_config_invariants():
-    RunConfig()  # defaults are valid
-    with pytest.raises(ValidationError):
-        RunConfig(horizon=32)
-    with pytest.raises(ValidationError):
-        RunConfig(tol=0.0)
-    with pytest.raises(ValidationError):
-        RunConfig(quad_tol=-1.0)
-    with pytest.raises(ValidationError):
-        RunConfig(output="yaml")
+def test_run_config_invariants(capsys):
+    # argparse refuses an out-of-range value before any work starts, with
+    # one error line that names the flag; not (x > 0) also refuses nan
+    for argv, flag in [
+        (("analyze", GEVREY25, "--horizon", "32"), "--horizon"),
+        (("analyze", GEVREY25, "--tol", "0"), "--tol"),
+        (("verify", "moments", "--quad-tol", "-1"), "--quad-tol"),
+        (("sweep", "gevrey", "--values", "1", "--jobs", "0"), "--jobs"),
+        (("sweep", "gevrey", "--values", "1", "--tol", "nan"), "--tol"),
+        (("verify", "inversion", "--format", "yaml"), "--format"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"argument {flag}:" in err, argv
 
 
 def test_analyze_pretty_cites_theorem_tags(capsys):
@@ -195,8 +199,16 @@ def test_verify_unknown_suite(capsys):
         ("analyze",),
         ("frobnicate",),
         (),
+        # each subcommand takes only the flags it reads
+        ("analyze", GEVREY25, "--seed", "1"),
+        ("analyze", GEVREY25, "--quad-tol", "1e-6"),
+        ("sweep", "gevrey", "--values", "1", "--format", "json"),
+        ("verify", "inversion", "--jobs", "2"),
     ],
-    ids=["bad-int", "unknown-flag", "bad-choice", "no-spec", "unknown-command", "no-command"],
+    ids=[
+        "bad-int", "unknown-flag", "bad-choice", "no-spec", "unknown-command", "no-command",
+        "analyze-seed", "analyze-quad-tol", "sweep-format", "verify-jobs",
+    ],
 )
 def test_parser_errors_are_one_error_line(argv, capsys):
     # exit 2 means "every verdict inconclusive", so a bad command line must

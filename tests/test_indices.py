@@ -18,7 +18,7 @@ from momentgate import (
     make_sequence,
     omega_index,
 )
-from momentgate.conditions import classify_series, tail_series
+from momentgate.conditions import classify_series, tail_decision, tail_series
 
 
 @pytest.mark.parametrize("s", [0.4, 1.0, 2.5])
@@ -38,7 +38,7 @@ def test_omega_gevrey_estimate(s):
 
 
 def test_gamma_q_gevrey_reports_infinity():
-    est = gamma_index(make_sequence(QGevreySpec(q=2.0)), horizon=4096, beta_max=64.0)
+    est = gamma_index(make_sequence(QGevreySpec(q=2.0)), horizon=4096)
     assert est.lower == 64.0
     assert est.upper == math.inf
     assert est.converged
@@ -79,8 +79,6 @@ def test_index_validation():
     seq = make_sequence(GevreySpec(s=1.0))
     with pytest.raises(ValidationError):
         gamma_index(seq, tol=0.0)
-    with pytest.raises(ValidationError):
-        gamma_index(seq, beta_max=0.5)
     with pytest.raises(ValidationError):
         omega_index(seq, horizon=32)
 
@@ -135,4 +133,4 @@ def test_status_probes_replay_the_full_check(name, horizon, monkeypatch):
         samples = dict(omega_index(seq, horizon=horizon).samples)
         assert samples["tail_exponent"] == f"{exponent:.6g}"
         _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
-        assert classify_series(logm, 1.0, fit, partial=False).exponent == exponent
+        assert tail_decision(fit, 1.0, len(logm))[1] == exponent
