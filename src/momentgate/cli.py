@@ -369,7 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification battery")
     p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    _add_flags(p, "--horizon", "--tol", "--quad-tol", "--seed", "--format", "--out")
+    _add_flags(p, "--horizon", "--tol", "--quad-tol", "--seed")
+    # a suite renders as JSON or as pretty text; it has no CSV form
+    p.add_argument("--format", **{**_FLAGS["--format"], "choices": ("json", "pretty")})
+    _add_flags(p, "--out")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -169,14 +169,17 @@ def tail_decision(fit, theta: float, n: int) -> tuple[str, float, Optional[float
 
 
 def classify_series(
-    log_denominators: np.ndarray, theta: float, fit: Optional[tuple] = None
+    log_denominators: np.ndarray,
+    theta: float,
+    fit: Optional[tuple] = None,
+    log_terms: Optional[np.ndarray] = None,
 ) -> SeriesReport:
     """Classify sum_p exp(-D_p/theta) from the first len(D) terms.
 
     The composite slope c of D against log(p+1) is fitted on the two halves
-    of the last quartile; pass `fit` when the caller has it from tail_series.
-    A caller that needs only the kind or the exponent takes them from
-    tail_decision, without the partial sums.
+    of the last quartile; pass `fit` when the caller has it from tail_series,
+    and `log_terms` when it has -D/theta. A caller that needs only the kind
+    or the exponent takes them from tail_decision, without the partial sums.
     """
     D = np.asarray(log_denominators, dtype=float)
     n = len(D)
@@ -184,7 +187,7 @@ def classify_series(
         fit = _tail_fit(np.log(np.arange(1, n + 1, dtype=float)), D)
     kind, c, log_tail = tail_decision(fit, theta, n)
     windows = (math.nan, math.nan) if fit is None else fit[:2]
-    lp = np.logaddexp.accumulate(-D / theta)
+    lp = numerics.log_cumsum(-D / theta if log_terms is None else log_terms)
     trace = tuple((int(i), float(lp[i - 1])) for i in numerics.geometric_indices(n, 24))
     log_total = math.nan
     if kind == "convergent":
@@ -335,22 +338,35 @@ def _check_convexity(seq: WeightSequence, horizon: int, shifted: bool):
 def _check_dc(seq: WeightSequence, horizon: int):
     logm = seq.log_m_array(horizon)
     r = logm / np.arange(1, horizon + 2, dtype=float)
-    stable, sup = numerics.running_sup_stabilized(r, STAB_RTOL)
-    constants = {"C0": 1.0, "H": numerics.exp_or_inf(max(sup, 0.0))}
+    stable, run = numerics.running_sup_stabilized(r, STAB_RTOL)
+    constants = {"C0": 1.0, "H": numerics.exp_or_inf(max(float(run[-1]), 0.0))}
     diagnostics = {
-        "sup_trace": [(int(i), float(np.max(r[:i]))) for i in numerics.geometric_indices(len(r), 16)],
+        "sup_trace": [(int(i), float(run[i - 1])) for i in numerics.geometric_indices(len(r), 16)],
     }
     if stable:
         return Status.HOLDS_AT_HORIZON, constants, None, diagnostics
     return Status.INCONCLUSIVE, constants, None, diagnostics
 
 
+def _split_excess(logM: np.ndarray) -> np.ndarray:
+    """d_n = (log M_n - log M_(n//2)) - log M_((n+1)//2) for n = 2..len-1,
+    from strided slices in that order: (log M_2k - log M_k) - log M_k at even
+    n, (log M_(2k+1) - log M_k) - log M_(k+1) at odd n."""
+    d = np.empty(len(logM) - 2)
+    even, odd = d[0::2], d[1::2]
+    np.subtract(logM[2::2], logM[1 : len(even) + 1], out=even)
+    even -= logM[1 : len(even) + 1]
+    np.subtract(logM[3::2], logM[1 : len(odd) + 1], out=odd)
+    odd -= logM[2 : len(odd) + 2]
+    return d
+
+
 def _check_mg(seq: WeightSequence, horizon: int):
-    logM = seq.log_M_array(horizon)
+    d = _split_excess(seq.log_M_array(horizon))
     n = np.arange(2, horizon + 1)
-    d = logM[n] - logM[n // 2] - logM[(n + 1) // 2]
     r = d / n
-    stable, sup = numerics.running_sup_stabilized(r, STAB_RTOL)
+    stable, run = numerics.running_sup_stabilized(r, STAB_RTOL)
+    sup = float(run[-1])
     diagnostics = {
         "split_trace": [
             (int(n[i]), float(r[i])) for i in numerics.geometric_indices(len(r), 16) - 1
@@ -515,18 +531,21 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
         }
         return _sup_verdict(lR, diagnostics, window=2)
     x, logm, D, fit = tail_series(seq, horizon, alpha, beta)
-    report = classify_series(D, beta, fit)
+    terms = -D / beta
+    report = classify_series(D, beta, fit, terms)
     diagnostics = {"series": report}
     if report.kind == "divergent":
         return Status.FAILS, {}, None, diagnostics
     if report.kind == "inconclusive":
         return Status.INCONCLUSIVE, {}, None, diagnostics
-    suffix = numerics.logsumexp_suffix(-D / beta)
+    half = horizon // 2 + 1
+    # the sup reads T_p for p < half only, but T_0 needs the whole fold
+    suffix = numerics.logsumexp_suffix(terms)[:half]
+    del terms  # no third horizon-sized array beside the fold and T
     # log_total aggregates from p=0; recover the beyond-horizon tail piece
     tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)
     T = np.logaddexp(suffix, tail_piece)
-    half = horizon // 2 + 1
-    lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T[:half]
+    lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T
     diagnostics["sup_trace"] = [
         (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)
     ]

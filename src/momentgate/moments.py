@@ -51,6 +51,12 @@ __all__ = [
 _TINY = 1e-300
 _LOG_TINY = -650.0
 
+# Accuracy targets of the quadratures: relative for moment (and
+# moment_with_error) and moment_origin, absolute for laplace_sample.
+MOMENT_RTOL = 1e-10
+ORIGIN_RTOL = 1e-8
+LAPLACE_ATOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -225,8 +231,8 @@ def _check_order(p: int, cap: int, where: str) -> None:
         raise ValidationError(f"{where}: order p={p} beyond supported cap {cap}")
 
 
-def moment_with_error(phi: TestFunction, p: int, rel_tol: float = 1e-10):
-    """(value, abs error estimate) for int_0^inf x^p phi(x) dx."""
+def moment_with_error(phi: TestFunction, p: int):
+    """(value, abs error estimate) for int_0^inf x^p phi(x) dx, to MOMENT_RTOL."""
     _check_order(p, 64, "moment")
     if math.isfinite(phi.decay_exponent) and phi.decay_exponent <= p + 1:
         raise ValidationError(
@@ -240,7 +246,7 @@ def moment_with_error(phi: TestFunction, p: int, rel_tol: float = 1e-10):
 
     lo, hi = phi.support
     if phi.compact:
-        v, e = _panel_quad(integrand, lo, hi, 1e-14, min(rel_tol, 1e-11))
+        v, e = _panel_quad(integrand, lo, hi, 1e-14, 1e-11)
         return v, e
 
     # locate the dominant dyadic scale, then integrate outward from it
@@ -271,11 +277,11 @@ def moment_with_error(phi: TestFunction, p: int, rel_tol: float = 1e-10):
         total += v
         err += e
         scale = max(abs(total), _TINY)
-        if abs(v) <= rel_tol * scale:
+        if abs(v) <= MOMENT_RTOL * scale:
             if phi.log_envelope is None:
                 raise QuadratureError("moment: no tail envelope for half-line integral")
             tail = _envelope_tail(phi.log_envelope, 2.0 ** (k + 1), p)
-            if tail <= 0.25 * rel_tol * scale:
+            if tail <= 0.25 * MOMENT_RTOL * scale:
                 err += tail
                 break
         k += 1
@@ -287,30 +293,31 @@ def moment_with_error(phi: TestFunction, p: int, rel_tol: float = 1e-10):
         v, e = _panel_quad(integrand, 2.0**k, 2.0 ** (k + 1), _TINY, 1e-11)
         total += v
         err += e
-        small = small + 1 if abs(v) <= 0.01 * rel_tol * abs(total) else 0
+        small = small + 1 if abs(v) <= 0.01 * MOMENT_RTOL * abs(total) else 0
         if small >= 2:
             # remaining mass below 2^k is at most sup|phi| * x^(p+1)/(p+1)
             cap = max(abs(f(2.0**k * (j + 1) / 8.0)) for j in range(8))
             cap = max(cap, abs(f(0.0)))
             bound = 2.0 * cap * math.exp((p + 1) * k * math.log(2.0)) / (p + 1)
-            if bound <= 0.25 * rel_tol * abs(total):
+            if bound <= 0.25 * MOMENT_RTOL * abs(total):
                 err += bound
                 break
         k -= 1
-    if err > 20.0 * rel_tol * max(abs(total), _TINY):
+    if err > 20.0 * MOMENT_RTOL * max(abs(total), _TINY):
         raise QuadratureError(
-            f"moment: error estimate {err:.2e} misses relative target {rel_tol:g}"
+            f"moment: error estimate {err:.2e} misses relative target {MOMENT_RTOL:g}"
         )
     return total, err
 
 
-def moment(phi: TestFunction, p: int, rel_tol: float = 1e-10) -> float:
+def moment(phi: TestFunction, p: int) -> float:
     """mu_p(phi) = int_0^inf x^p phi(x) dx."""
-    return moment_with_error(phi, p, rel_tol)[0]
+    return moment_with_error(phi, p)[0]
 
 
-def moment_origin(phi: TestFunction, p: int, rel_tol: float = 1e-8) -> float:
-    """mu0_p(phi) = int_0^1 phi(x) / x^p dx for phi flat at the origin.
+def moment_origin(phi: TestFunction, p: int) -> float:
+    """mu0_p(phi) = int_0^1 phi(x) / x^p dx for phi flat at the origin, to
+    ORIGIN_RTOL.
 
     A pre-check probes phi(10^-k); growth of phi(x)/x^p toward 0 means the
     integrand blows up and the order is refused.
@@ -351,9 +358,9 @@ def moment_origin(phi: TestFunction, p: int, rel_tol: float = 1e-8) -> float:
         v, e = _panel_quad(integrand, a, b, _TINY, 1e-12)
         total += v
         err += e
-    if err > 20.0 * rel_tol * max(abs(total), _TINY):
+    if err > 20.0 * ORIGIN_RTOL * max(abs(total), _TINY):
         raise QuadratureError(
-            f"moment_origin: error estimate {err:.2e} misses relative target {rel_tol:g}"
+            f"moment_origin: error estimate {err:.2e} misses relative target {ORIGIN_RTOL:g}"
         )
     return total
 
@@ -367,10 +374,9 @@ class LaplaceSample:
     abs_error: float
 
 
-def laplace_sample(
-    phi: TestFunction, zeta: complex, abs_tol: float = 1e-12
-) -> LaplaceSample:
-    """Oscillation-aware quadrature of the Laplace-type sample at zeta.
+def laplace_sample(phi: TestFunction, zeta: complex) -> LaplaceSample:
+    """Oscillation-aware quadrature of the Laplace-type sample at zeta, its
+    tail cut where the declared envelope bounds it by LAPLACE_ATOL / 4.
 
     Panels never exceed half a period of exp(i x Re zeta) (capped at 1), so
     the oscillation stays resolved without specialized rules.
@@ -396,7 +402,7 @@ def laplace_sample(
         for k in range(0, 61):
             x_stop = 2.0**k
             t = _envelope_tail(phi.log_envelope, x_stop, 0, extra_decay=im)
-            if t <= 0.25 * abs_tol:
+            if t <= 0.25 * LAPLACE_ATOL:
                 cutoff, tail = x_stop, t
                 break
         if cutoff is None:

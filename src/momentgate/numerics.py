@@ -6,6 +6,7 @@ estimators build their policies on top of these primitives.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from array import array
 from enum import Enum
@@ -106,6 +107,47 @@ def log_sub_exp(log_a: float, log_b: float) -> float:
     return log_a + log1mexp(log_b - log_a)
 
 
+# log_cumsum folds this many terms per accumulate call, and tests for a
+# stagnant tail between calls.
+_FOLD_BLOCK = 4096
+_LOG_8E = math.log(8.0) + 1.0
+_accumulate = np.logaddexp.accumulate
+
+
+def log_cumsum(log_terms: np.ndarray) -> np.ndarray:
+    """np.logaddexp.accumulate(log_terms), bit for bit, without folding a
+    stagnant tail.
+
+    The fold runs in blocks of _FOLD_BLOCK terms: each block accumulates in
+    place over out[lo-1:hi], seeded with the running sum s = out[lo-1], so
+    the operations and their order are numpy's. Before a block, when s is
+    finite and nonzero and every remaining term t lies below
+    s + log(ulp(|s|)/8) - 1 (suffix max of the block maxima), the rest of
+    the output is s. Why that is exact: for t < s numpy's logaddexp(s, t)
+    is s + log1p(exp(t - s)), and here the addend is below ulp(|s|)/(8e),
+    which rounds back to s, also when |s| is a power of two and the spacing
+    toward zero is ulp(|s|)/2. A NaN or +inf term fails the comparison and
+    never lets the tail be skipped; s at +-0.0 or +-inf never skips.
+    """
+    t = np.asarray(log_terms, dtype=float)
+    n = t.size
+    out = np.empty(n)
+    if n <= _FOLD_BLOCK:
+        return _accumulate(t, out=out)
+    rest = np.maximum.reduceat(t, np.arange(0, n, _FOLD_BLOCK))[::-1]
+    rest = np.maximum.accumulate(rest, out=rest)[::-1]  # max over blocks b..end
+    _accumulate(t[:_FOLD_BLOCK], out=out[:_FOLD_BLOCK])
+    for b in range(1, len(rest)):
+        lo, hi = b * _FOLD_BLOCK, (b + 1) * _FOLD_BLOCK
+        s = float(out[lo - 1])
+        if s != 0.0 and math.isfinite(s) and rest[b] < s + (math.log(math.ulp(abs(s))) - _LOG_8E):
+            out[lo:] = s
+            break
+        out[lo:hi] = t[lo:hi]
+        _accumulate(out[lo - 1 : hi], out=out[lo - 1 : hi])
+    return out
+
+
 def logsumexp_suffix(log_terms: np.ndarray) -> np.ndarray:
     """out[p] = log sum_{q >= p} exp(log_terms[q]), computed right to left."""
     rev = np.logaddexp.accumulate(log_terms[::-1])
@@ -173,25 +215,29 @@ def slopes_stable(c1: float, c2: float, rel_tol: float = 0.02) -> bool:
     return abs(c1 - c2) <= rel_tol * scale
 
 
-def running_sup_stabilized(values: np.ndarray, rel_tol: float) -> tuple[bool, float]:
+def running_sup_stabilized(values: np.ndarray, rel_tol: float) -> tuple[bool, np.ndarray]:
     """Whether the running sup of `values` grew <= rel_tol over the last quartile.
 
-    Returns (stabilized, final_sup).
+    Returns (stabilized, running sup); the final sup is its last entry.
     """
-    if len(values) == 0:
-        return False, -math.inf
     run = np.maximum.accumulate(values)
+    if len(run) == 0:
+        return False, run
     final = float(run[-1])
     at_q3 = float(run[(3 * len(values)) // 4 - 1]) if len(values) >= 4 else float(run[0])
     scale = max(abs(final), 1e-12)
-    return (final - at_q3) <= rel_tol * scale, final
+    return (final - at_q3) <= rel_tol * scale, run
 
 
+@functools.lru_cache(maxsize=64)
 def geometric_indices(n: int, count: int = 32) -> np.ndarray:
-    """Up to `count` log-spaced integer indices in [1, n], deduplicated."""
+    """Up to `count` log-spaced integer indices in [1, n], deduplicated.
+    Memoized: the array is shared between callers and read-only."""
     if n < 1:
-        return np.array([], dtype=int)
-    raw = np.unique(np.round(np.geomspace(1, n, num=min(count, n))).astype(int))
+        raw = np.array([], dtype=int)
+    else:
+        raw = np.unique(np.round(np.geomspace(1, n, num=min(count, n))).astype(int))
+    raw.flags.writeable = False
     return raw
 
 

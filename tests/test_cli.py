@@ -204,10 +204,11 @@ def test_verify_unknown_suite(capsys):
         ("analyze", GEVREY25, "--quad-tol", "1e-6"),
         ("sweep", "gevrey", "--values", "1", "--format", "json"),
         ("verify", "inversion", "--jobs", "2"),
+        ("verify", "inversion", "--format", "csv"),
     ],
     ids=[
         "bad-int", "unknown-flag", "bad-choice", "no-spec", "unknown-command", "no-command",
-        "analyze-seed", "analyze-quad-tol", "sweep-format", "verify-jobs",
+        "analyze-seed", "analyze-quad-tol", "sweep-format", "verify-jobs", "verify-csv",
     ],
 )
 def test_parser_errors_are_one_error_line(argv, capsys):

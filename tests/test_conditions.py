@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from momentgate import (
     classify_power_series,
     make_sequence,
 )
-from momentgate import conditions
+from momentgate import conditions, numerics
 from momentgate.conditions import _sup_status, gamma_beta_status, tail_decision, tail_series
 
 
@@ -245,3 +246,38 @@ def test_lc_accepts_any_nondecreasing_quotients(steps, tail_step):
 def test_nq_gevrey_always_holds(s):
     v = check_condition(make_sequence(GevreySpec(s=s)), "nq")
     assert v.affirmative
+
+
+REGULAR_KINDS = {
+    "gevrey": GevreySpec(s=1.5),
+    "q_gevrey": QGevreySpec(q=2.0),
+    "explicit_arith": ExplicitSpec(log_m=(0.1, 0.4, 0.9), tail_rule="arithmetic", tail_value=0.3),
+    "explicit_power": ExplicitSpec(
+        log_m=tuple(1.7 * math.log(p + 1) + 0.003 * p for p in range(9)),
+        tail_rule="power",
+        tail_value=1.7,
+    ),
+    "derived": DerivedSpec(op="hat", base=GevreySpec(s=0.8)),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("horizon", [64, 65, 4097, 10_001])
+@pytest.mark.parametrize("kind", sorted(REGULAR_KINDS))
+def test_mg_split_and_dc_trace_bit_exact(kind, horizon):
+    # the strided (mg) differences and the (dc) trace read off the running
+    # sup equal the fancy-index gathers and prefix maxima they replace
+    seq = make_sequence(REGULAR_KINDS[kind])
+    logM = seq.log_M_array(horizon)
+    n = np.arange(2, horizon + 1)
+    gathered = logM[n] - logM[n // 2] - logM[(n + 1) // 2]
+    assert np.array_equal(_bits(conditions._split_excess(logM)), _bits(gathered))
+
+    r = seq.log_m_array(horizon) / np.arange(1, horizon + 2, dtype=float)
+    want = [(int(i), float(np.max(r[:i]))) for i in numerics.geometric_indices(len(r), 16)]
+    got = conditions._check_dc(seq, horizon)[3]["sup_trace"]
+    assert [i for i, _ in got] == [i for i, _ in want]
+    assert np.array_equal(_bits([v for _, v in got]), _bits([v for _, v in want]))

@@ -82,6 +82,82 @@ def test_logsumexp_suffix_matches_direct(terms):
     assert np.all(np.diff(out) <= 1e-12)
 
 
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _fold_cases():
+    """Arrays for the log_cumsum fuzz: geometric, power-law, noisy and mixed
+    terms at lengths around the fold block, plus runs of -inf, a NaN or +inf
+    after a stagnant stretch, and running sums at +-0.0 and +-2^k."""
+    rng = np.random.default_rng(20261019)
+    block = numerics._FOLD_BLOCK
+    cases = []
+    for n in (0, 1, block - 1, block, block + 1, 300_001):
+        p = np.arange(n, dtype=float)
+        cases += [
+            rng.normal(0.0, 50.0) - rng.uniform(0.01, 3.0) * p,  # geometric
+            -rng.uniform(0.5, 3.0) * np.log1p(p),  # power law
+            rng.normal(0.0, 10.0, n),  # noisy
+            np.where(p < n // 3, -0.02 * p, -np.log1p(p)) + rng.normal(0.0, 1e-3, n),
+        ]
+    for n in (3 * block + 7, 50_000):
+        p = np.arange(n, dtype=float)
+        runs = -0.5 * p
+        for lo in rng.integers(0, n, 6):
+            runs[lo : lo + int(rng.integers(1, 2 * block))] = -math.inf
+        cases.append(runs)
+        cases.append(np.full(n, -math.inf))
+        for bad in (math.nan, math.inf):
+            for at in (2 * block + 5, n - 1):
+                late = -0.5 * p
+                late[at] = bad
+                cases.append(late)
+    for head in (0.0, -0.0, 8.0, -8.0, 2.0**-20, -(2.0**-20), 2.0**40, -(2.0**40)):
+        # the first block sums to `head` exactly; the rest sits just below
+        # (or just above) the stagnation threshold of head
+        n = 3 * block
+        thr = head + (math.log(math.ulp(abs(head) or 1.0)) - math.log(8.0) - 1.0)
+        for rest in (np.nextafter(thr, -math.inf), np.nextafter(thr, math.inf), thr + 1.0):
+            t = np.full(n, rest)
+            t[:block] = -math.inf
+            t[0] = head
+            cases.append(t)
+    return cases
+
+
+def test_log_cumsum_matches_accumulate_bit_for_bit():
+    for t in _fold_cases():
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp.accumulate(t)
+            got = numerics.log_cumsum(t)
+        assert _same_bits(got, want), len(t)
+
+
+def test_log_cumsum_skips_a_stagnant_tail(monkeypatch):
+    # a geometric series stagnates within a few hundred terms: past the first
+    # block, no term of a million reaches the fold
+    folded = []
+
+    def counting(arr, out):
+        folded.append(arr.size)
+        return np.logaddexp.accumulate(arr, out=out)
+
+    monkeypatch.setattr(numerics, "_accumulate", counting)
+    t = -0.5 * np.arange(10**6, dtype=float)
+    got = numerics.log_cumsum(t)
+    assert _same_bits(got, np.logaddexp.accumulate(t))
+    assert sum(folded) <= 2 * numerics._FOLD_BLOCK
+
+
+def test_geometric_indices_memo_is_read_only():
+    a = numerics.geometric_indices(10_001, 16)
+    assert numerics.geometric_indices(10_001, 16) is a
+    with pytest.raises(ValueError):
+        a[0] = 5
+    assert list(numerics.geometric_indices(0, 16)) == []
+
+
 @pytest.mark.parametrize("e", [0.5, 1.0 - 1e-12, 1.0, 1.5, 3.0])
 def test_log_integral_power_matches_quadrature(e):
     a, b = 0.5, 7.0
@@ -100,8 +176,8 @@ def test_fit_line_recovers_affine():
 
 def test_running_sup_stabilized():
     flat = np.concatenate([np.linspace(0, 1, 30), np.full(70, 1.0)])
-    ok, sup = numerics.running_sup_stabilized(flat, 0.01)
-    assert ok and sup == 1.0
+    ok, run = numerics.running_sup_stabilized(flat, 0.01)
+    assert ok and run[-1] == 1.0
     growing = np.linspace(0, 1, 100)
     ok, _ = numerics.running_sup_stabilized(growing, 0.01)
     assert not ok
