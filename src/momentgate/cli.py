@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
@@ -43,7 +44,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader closed stdout: the signal docs' quiet exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
 
 
 def _load_spec(arg: str) -> SequenceSpec:

@@ -9,10 +9,12 @@ phase-twisted variants) and fall back to complex floats otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +52,7 @@ __all__ = [
 
 _TINY = 1e-300
 _LOG_TINY = -650.0
+_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^k for k = 0..3, the phase twists
 
 # Accuracy targets of the quadratures: relative for moment (and
 # moment_with_error) and moment_origin, absolute for laplace_sample.
@@ -647,9 +650,10 @@ class GaussianRational:
         return GaussianRational.lift(other) / self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            o = GaussianRational.lift(other)
-            return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
         return NotImplemented
 
     def __hash__(self):
@@ -690,7 +694,7 @@ class Jet:
     @property
     def exact(self) -> bool:
         return all(
-            isinstance(c, (int, Fraction, GaussianRational))
+            isinstance(c, (GaussianRational, int, Fraction))
             for c in self.coefficients
         )
 
@@ -718,32 +722,56 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
         raise ValidationError(f"{where}: jets must have equal length")
 
 
-def _integer_numerators(values: Sequence[Fraction]) -> Tuple[list, int]:
-    """(numerators over the least common denominator d, d)."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+def _rational(*jets: Jet) -> bool:
+    return all(isinstance(v, (int, Fraction)) for j in jets for v in j.coefficients)
+
+
+def _integer_rows(values: Sequence) -> Tuple[list, int, list]:
+    """(real row, d, imaginary row): exact entries as ints over their lcm d."""
+    n = len(values)
+    if any(isinstance(v, GaussianRational) for v in values):
+        values = [GaussianRational.lift(v) for v in values]
+        values = [v.re for v in values] + [v.im for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    numerators = [a * (d // q) for a, q in ratios]
+    return numerators[:n], d, numerators[n:] or [0] * n
+
+
+@functools.cache
+def _binomial_rows(n: int) -> tuple:
+    """The rows (C(p,0), ..., C(p,p)) for p < n."""
+    return tuple(tuple(math.comb(p, j) for j in range(p + 1)) for p in range(n))
+
+
+def _convolve(x: Jet, y: list, dy: int) -> Jet:
+    """sum_j C(p,j) x_j y_(p-j) for the rational x and y / dy, summed over ints."""
+    xs, dx, _ = _integer_rows(x.coefficients)
+    d, rows = dx * dy, enumerate(_binomial_rows(len(xs)))
+    return Jet(tuple(Fraction(sum(map(mul, map(mul, r, xs), y[p::-1])), d) for p, r in rows))
+
+
+def _reciprocal(g: list, d: int) -> Tuple[list, int]:
+    """Numerators d H_n g_0^(P-n) of 1/G over g_0^(P+1), G = g/d of order P, with
+    H_0 = 1 and H_n = -sum_{k=1..n} C(n,k) g_k g_0^(k-1) H_(n-k) (Leibniz)."""
+    if g[0] == 0:
+        raise ValidationError("jet_reciprocal: constant term must be nonzero")
+    powers = [g[0] ** k for k in range(len(g) + 1)]
+    gp = list(map(mul, g[1:], powers))  # g_k g_0^(k-1) for k >= 1
+    hs = [1]
+    for row in _binomial_rows(len(g))[1:]:
+        hs.append(-sum(map(mul, map(mul, row[1:], gp), hs[::-1])))
+    return [d * h * p for h, p in zip(hs, powers[-2::-1])], powers[-1]
 
 
 def jet_reciprocal(G: Jet) -> Jet:
-    """Derivative values of 1/G at 0 by the exact Leibniz recursion.
-
-    When every entry is a Fraction g_k = G_k / D over one common denominator
-    D, the recursion runs over ints: h_n = D H_n / G_0^(n+1) with H_0 = 1 and
-    H_n = -sum_{k=1..n} C(n,k) G_k G_0^(k-1) H_(n-k). Other entries keep
-    their own arithmetic.
-    """
+    """Derivative values of 1/G at 0 by the exact Leibniz recursion."""
+    if _rational(G):
+        h, d = _reciprocal(*_integer_rows(G.coefficients)[:2])
+        return Jet(tuple(Fraction(v, d) for v in h))
     (g,) = _jet_entries(G)
     if g[0] == 0:
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
-    if all(isinstance(v, Fraction) for v in g):
-        gs, d = _integer_numerators(g)
-        powers = [1]
-        for _ in range(len(gs)):
-            powers.append(powers[-1] * gs[0])
-        hs = [1]
-        for n in range(1, len(gs)):
-            hs.append(-sum(math.comb(n, k) * gs[k] * powers[k - 1] * hs[n - k] for k in range(1, n + 1)))
-        return Jet(tuple(Fraction(d * hn, powers[n + 1]) for n, hn in enumerate(hs)))
     h = [1 / g[0]]
     for n in range(1, len(g)):
         acc = 0
@@ -754,22 +782,7 @@ def jet_reciprocal(G: Jet) -> Jet:
 
 
 def _binomial_convolution(x: Sequence, y: Sequence) -> list:
-    """out_p = sum_j C(p,j) x_j y_(p-j) for p < len(x).
-
-    When every entry is a Fraction, each operand is scaled to integer
-    numerators over one common denominator, the sums run over ints and each
-    output is one Fraction. Other entries keep their own arithmetic.
-    """
-    if all(isinstance(v, Fraction) for v in (*x, *y)):
-        xs, dx = _integer_numerators(x)
-        ys, dy = _integer_numerators(y)
-        return [
-            Fraction(
-                sum(math.comb(p, j) * xs[j] * ys[p - j] for j in range(p + 1)),
-                dx * dy,
-            )
-            for p in range(len(xs))
-        ]
+    """out_p = sum_j C(p,j) x_j y_(p-j), p < len(x), in the entries' own arithmetic."""
     out = []
     for p in range(len(x)):
         acc = 0
@@ -782,74 +795,65 @@ def _binomial_convolution(x: Sequence, y: Sequence) -> list:
 def inversion_coeffs(c: Jet, G: Jet) -> Jet:
     """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0); exact over rationals."""
     _require_same_length(c, G, "inversion_coeffs")
-    cs, gs = _jet_entries(c, G)
-    h = jet_reciprocal(Jet(tuple(gs))).coefficients
-    return Jet(tuple(_binomial_convolution(cs, h)))
+    if not _rational(c, G):
+        cs, gs = _jet_entries(c, G)
+        h = jet_reciprocal(Jet(tuple(gs))).coefficients
+        return Jet(tuple(_binomial_convolution(cs, h)))
+    return _convolve(c, *_reciprocal(*_integer_rows(G.coefficients)[:2]))
 
 
 def forward_binomial(b: Jet, G: Jet) -> Jet:
     """c_p = sum_j C(p,j) b_j G^(p-j)(0); inverse of inversion_coeffs."""
     _require_same_length(b, G, "forward_binomial")
-    return Jet(tuple(_binomial_convolution(*_jet_entries(b, G))))
+    if not _rational(b, G):
+        return Jet(tuple(_binomial_convolution(*_jet_entries(b, G))))
+    return _convolve(b, *_integer_rows(G.coefficients)[:2])
 
 
-_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
+def _complex_phase_convolution(x: Jet, y: Sequence) -> Jet:
+    """out_p = (-i)^p sum_j C(p,j) i^j x_j y_(p-j) over complex floats."""
+    xs = [_UNITS[j % 4] * complex(v) for j, v in enumerate(x.coefficients)]
+    raw = _binomial_convolution(xs, [complex(v) for v in y])
+    return Jet(tuple(_UNITS[-p % 4] * v for p, v in enumerate(raw)))
 
 
-def _parts(v) -> Tuple[Fraction, Fraction]:
-    if isinstance(v, GaussianRational):
-        return Fraction(v.re), Fraction(v.im)
-    return Fraction(v), Fraction(0)
-
-
-def _rotate(re: Fraction, im: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """(re, im) of i^k (re + i im): a swap and a sign change, no product."""
-    k %= 4
-    if k == 0:
-        return re, im
-    if k == 1:
-        return -im, re
-    if k == 2:
-        return -re, -im
-    return im, -re
-
-
-def _phase_convolution(x: Jet, y: Sequence, exact: bool) -> Jet:
-    """out_p = (-i)^p sum_j C(p,j) i^j x_j y_(p-j).
-
-    Exact entries are split into real and imaginary parts, so the twists are
-    rotations and the convolution is two real sums (four for a complex y).
-    Otherwise every entry is lifted to a complex float.
-    """
-    if not exact:
-        xs = [_UNITS[j % 4] * complex(v) for j, v in enumerate(x.coefficients)]
-        raw = _binomial_convolution(xs, [complex(v) for v in y])
-        return Jet(tuple(_UNITS[-p % 4] * v for p, v in enumerate(raw)))
-    xr, xi = zip(*(_rotate(*_parts(v), j) for j, v in enumerate(x.coefficients)))
-    yr, yi = zip(*map(_parts, y))
-    re = _binomial_convolution(xr, yr)
-    im = _binomial_convolution(xi, yr)
-    if any(yi):
-        re = [a - b for a, b in zip(re, _binomial_convolution(xi, yi))]
-        im = [a + b for a, b in zip(im, _binomial_convolution(xr, yi))]
-    return Jet(tuple(
-        GaussianRational(*_rotate(a, b, -p)) for p, (a, b) in enumerate(zip(re, im))
-    ))
+def _phase_convolution(x: Jet, yr: list, dy: int, yi: list) -> Jet:
+    """(-i)^p sum_j C(p,j) i^j x_j y_(p-j), x exact, y = (yr + i yi)/dy: twists are
+    swaps and sign changes of integer pairs, real and imaginary sums share one
+    pass, and the cross sums run only for a nonzero yi."""
+    ar, dx, ai = _integer_rows(x.coefficients)
+    xr = [(a, -b, -a, b)[j % 4] for j, (a, b) in enumerate(zip(ar, ai))]
+    xi = [(b, a, -b, -a)[j % 4] for j, (a, b) in enumerate(zip(ar, ai))]
+    cross, d, out = any(yi), dx * dy, []
+    for p, row in enumerate(_binomial_rows(len(xr))):
+        cy = list(map(mul, row, yr[p::-1]))
+        re, im = sum(map(mul, cy, xr)), sum(map(mul, cy, xi))
+        if cross:
+            cy = list(map(mul, row, yi[p::-1]))
+            re, im = re - sum(map(mul, cy, xi)), im + sum(map(mul, cy, xr))
+        re, im = ((re, im), (im, -re), (-re, -im), (-im, re))[p % 4]
+        out.append(GaussianRational(Fraction(re, d), Fraction(im, d)))
+    return Jet(tuple(out))
 
 
 def phase_inversion_coeffs(c: Jet, G: Jet) -> Jet:
     """b_p = (-i)^p sum_j C(p,j) i^j c_j (1/G)^(p-j)(0)."""
     _require_same_length(c, G, "phase_inversion_coeffs")
-    exact = c.exact and G.exact
-    if not exact:
-        G = Jet(tuple(complex(v) for v in G.coefficients))
-    return _phase_convolution(c, jet_reciprocal(G).coefficients, exact)
+    if not (c.exact and G.exact):
+        h = jet_reciprocal(Jet(tuple(complex(v) for v in G.coefficients)))
+        return _complex_phase_convolution(c, h.coefficients)
+    g, d, gi = _integer_rows(G.coefficients)
+    if any(gi):  # a complex G keeps the Gaussian-rational jet_reciprocal
+        return _phase_convolution(c, *_integer_rows(jet_reciprocal(G).coefficients))
+    return _phase_convolution(c, *_reciprocal(g, d), [])
 
 
 def phase_forward_binomial(b: Jet, G: Jet) -> Jet:
     """Inverse of phase_inversion_coeffs: recovers c from b."""
     _require_same_length(b, G, "phase_forward_binomial")
-    return _phase_convolution(b, G.coefficients, b.exact and G.exact)
+    if not (b.exact and G.exact):
+        return _complex_phase_convolution(b, G.coefficients)
+    return _phase_convolution(b, *_integer_rows(G.coefficients))
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,30 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_closed_stdout_exits_without_traceback():
+    # `momentgate verify inversion --format json | head -c 100`: the reader
+    # goes away mid-output, and the command must exit quietly. Unbuffered,
+    # print writes the text and the newline separately, so the newline
+    # usually meets the closed pipe; the second run closes the reader
+    # before the first write, so that write always does.
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "momentgate.cli", "verify", "inversion", "--format", "json"]
+    for unbuffered, take in (("1", 100), ("", 0)):
+        child = subprocess.Popen(
+            argv, env={**env, "PYTHONUNBUFFERED": unbuffered},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(child.stdout.read(take)) == take
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        code = child.wait(timeout=60)
+        assert "Traceback" not in err, err
+        # exit 1 once a write met the closed pipe, 0 if all output was out
+        assert code == 1 if take == 0 else code in (0, 1)
+
+
 def test_benchmark_tracer_installs():
     # benchmarks/tracing.py rebinds package names (omega_evaluator,
     # WeightSequence.log_m_fast, ...) by attribute; a rename must fail here

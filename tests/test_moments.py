@@ -1,6 +1,7 @@
 """Moment quadrature, growth fits, jet inversion, and Taylor machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,123 @@ def test_phase_complex_and_float_branches():
     # pure-float jets stay real floats
     floats = forward_binomial(Jet((1.0, 0.5)), Jet((2.0, -1.0)))
     assert floats.coefficients == (2.0, 0.0) and all(type(v) is float for v in floats.coefficients)
+
+
+def test_gaussian_rational_eq_and_hash_agree_with_fraction():
+    values = [
+        2, Fraction(2), Fraction(4, 2), GaussianRational(2, 0),
+        GaussianRational(Fraction(2), Fraction(0)), GaussianRational(Fraction(2), 0),
+    ]
+    for a in values:
+        for b in values:
+            assert a == b and b == a and not a != b, (a, b)
+            assert hash(a) == hash(b), (a, b)
+    others = [3, Fraction(5, 2), GaussianRational(2, 1), GaussianRational(Fraction(2), Fraction(-1, 3))]
+    for a in values:
+        for b in others:
+            assert a != b and b != a and not a == b, (a, b)
+    z = GaussianRational(Fraction(1, 3), Fraction(-1, 2))
+    assert z == GaussianRational(Fraction(2, 6), Fraction(-2, 4))
+    assert hash(z) == hash(GaussianRational(Fraction(2, 6), Fraction(-2, 4)))
+    assert len({2, Fraction(2), GaussianRational(2, 0), z}) == 2
+    assert (GaussianRational(1, 0) == 1.0) is False and GaussianRational(1, 0) != "1"
+
+
+# Oracle for the jet functions: the textbook recurrences, one Fraction (or
+# one pair of Fractions for a complex value) at a time.
+
+
+def _pair(v):
+    if isinstance(v, tuple):  # already a pair
+        return v
+    if isinstance(v, GaussianRational):
+        return Fraction(v.re), Fraction(v.im)
+    return Fraction(v), Fraction(0)
+
+
+def _times(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _oracle_reciprocal(g):
+    g = [_pair(v) for v in g]
+    norm = g[0][0] ** 2 + g[0][1] ** 2
+    inv0 = (g[0][0] / norm, -g[0][1] / norm)
+    h = [inv0]
+    for n in range(1, len(g)):
+        acc = (Fraction(0), Fraction(0))
+        for k in range(1, n + 1):
+            t = _times(g[k], h[n - k])
+            acc = (acc[0] + math.comb(n, k) * t[0], acc[1] + math.comb(n, k) * t[1])
+        h.append(_times((-acc[0], -acc[1]), inv0))
+    return h
+
+
+def _oracle_convolution(x, y, phase):
+    x, y = [_pair(v) for v in x], [_pair(v) for v in y]
+    units = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^k
+    out = []
+    for p in range(len(x)):
+        acc = (Fraction(0), Fraction(0))
+        for j in range(p + 1):
+            t = _times(_times(units[j % 4] if phase else (1, 0), x[j]), y[p - j])
+            acc = (acc[0] + math.comb(p, j) * t[0], acc[1] + math.comb(p, j) * t[1])
+        out.append(_times(units[-p % 4], acc) if phase else acc)
+    return out
+
+
+def _draw(rng, n, gaussian=False):
+    def one():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    if gaussian:
+        return [GaussianRational(Fraction(one()), Fraction(one())) for _ in range(n)]
+    return [one() for _ in range(n)]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y) and x == y, (x, y)
+        if isinstance(y, GaussianRational):
+            assert type(x.re) is type(y.re) and type(x.im) is type(y.im), (x, y)
+            assert (x.re, x.im) == (y.re, y.im), (x, y)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 13, 20])
+def test_jet_functions_match_the_fraction_oracle(order):
+    rng = random.Random(1600 + order)
+    n = order + 1
+    for trial in range(4):
+        b, c = _draw(rng, n), _draw(rng, n)
+        g0 = rng.choice([rng.randint(-9, -1), Fraction(-rng.randint(1, 10**6), rng.randint(1, 10**6)),
+                         rng.randint(1, 9), Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))])
+        G = Jet((g0,) + tuple(_draw(rng, order)))
+        real = lambda pairs: [pr[0] for pr in pairs]  # noqa: E731
+        gauss = lambda pairs: [GaussianRational(*pr) for pr in pairs]  # noqa: E731
+        h = _oracle_reciprocal(G.coefficients)
+        _assert_same(jet_reciprocal(G).coefficients, real(h))
+        _assert_same(forward_binomial(Jet(tuple(b)), G).coefficients,
+                     real(_oracle_convolution(b, G.coefficients, False)))
+        _assert_same(inversion_coeffs(Jet(tuple(c)), G).coefficients,
+                     real(_oracle_convolution(c, h, False)))
+        # the phase functions on a real G, then on a G with a nonzero
+        # imaginary row, each for a real and a complex first jet
+        Gc = Jet(tuple(GaussianRational(Fraction(v), Fraction(u)) for v, u in
+                       zip(G.coefficients, [0] + _draw(rng, order))))
+        if trial == 0 and order > 0:
+            assert any(v.im for v in Gc.coefficients)
+        for GG in (G, Gc):
+            hh = _oracle_reciprocal(GG.coefficients)
+            for x in (b, _draw(rng, n, gaussian=True)):
+                _assert_same(phase_forward_binomial(Jet(tuple(x)), GG).coefficients,
+                             gauss(_oracle_convolution(x, GG.coefficients, True)))
+                _assert_same(phase_inversion_coeffs(Jet(tuple(x)), GG).coefficients,
+                             gauss(_oracle_convolution(x, hh, True)))
 
 
 @given(
