@@ -329,7 +329,7 @@ _HORIZON = _checked(int, lambda h: 64 <= h < BIG_INDEX_LIMIT, f">= 64 and < {BIG
 _FLAGS = {
     "--horizon": dict(type=_HORIZON, default=10_000, help="index horizon"),
     "--tol": dict(type=_POSITIVE, default=0.05, help="index bracket tolerance"),
-    "--quad-tol": dict(type=_POSITIVE, default=1e-8, help="quadrature tolerance"),
+    "--quad-tol": dict(type=_POSITIVE, default=1e-8, help="Poisson quadrature tolerance of the gfun suite"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty", help="output format"),
     "--seed": dict(type=int, default=0, help="seed for randomized suites"),
     "--jobs": dict(type=_checked(int, lambda j: j >= 1, ">= 1"), default=1, help="worker processes"),

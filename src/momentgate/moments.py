@@ -2,9 +2,11 @@
 jet inversion.
 
 Test functions are plain evaluators carrying a decay declaration; the
-quadrature routines refuse work the declaration cannot support. Jet
-operations run exactly over rationals (Gaussian rationals for the
-phase-twisted variants) and fall back to complex floats otherwise.
+quadrature routines refuse work the declaration cannot support. An exact
+jet (int, Fraction or GaussianRational entries) runs as a real and an
+imaginary row of integers over one common denominator; GaussianRational is
+only the entry type of complex results and has no arithmetic. Any other jet
+runs in float/complex arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -59,6 +62,10 @@ _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^k for k = 0..3, the phase twists
 MOMENT_RTOL = 1e-10
 ORIGIN_RTOL = 1e-8
 LAPLACE_ATOL = 1e-12
+
+# taylor_bound_check's grid size on the support and its slack in log |phi|
+TAYLOR_GRID_POINTS = 1000
+TAYLOR_LOG_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,8 @@ def moment_origin(phi: TestFunction, p: int) -> float:
         probes = []
         for k in range(1, 13):
             x = 10.0**-k
-            lv = math.log(abs(f(x))) if f(x) != 0.0 else -math.inf
+            v = f(x)
+            lv = math.log(abs(v)) if v != 0.0 else -math.inf
             probes.append(lv + k * p * math.log(10.0))
         if probes[11] >= probes[5] and probes[11] > -460.0:
             raise QuadratureError(
@@ -600,7 +608,8 @@ def lambda_fit(values: Sequence[float], M: WeightSequence) -> LambdaFit:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts: the entry
+    type of exact complex jets, which carry no arithmetic of their own."""
 
     re: Fraction
     im: Fraction
@@ -612,42 +621,6 @@ class GaussianRational:
         if isinstance(v, (int, Fraction)):
             return GaussianRational(Fraction(v), Fraction(0))
         raise ValidationError(f"GaussianRational: cannot lift {type(v).__name__}")
-
-    def __add__(self, other):
-        o = GaussianRational.lift(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.lift(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = GaussianRational.lift(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational.lift(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("GaussianRational division by zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.lift(other) / self
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -693,10 +666,7 @@ class Jet:
 
     @property
     def exact(self) -> bool:
-        return all(
-            isinstance(c, (GaussianRational, int, Fraction))
-            for c in self.coefficients
-        )
+        return all(map(isinstance, self.coefficients, repeat((GaussianRational, int, Fraction))))
 
     def to_json(self) -> list:
         return [
@@ -705,14 +675,16 @@ class Jet:
         ]
 
 
+def _gaussian(values: Sequence) -> bool:
+    return any(map(isinstance, values, repeat(GaussianRational)))
+
+
 def _jet_entries(*jets: Jet) -> list:
-    """The entry lists of the jets. ints become Fractions so that division
-    stays exact; a GaussianRational has no float arithmetic, so one that
-    meets an inexact entry turns every entry into a complex float."""
+    """The entry lists of jets that are not all exact. ints become Fractions
+    so that division stays exact; a GaussianRational has no arithmetic, so
+    one among them turns every entry into a complex float."""
     rows = [j.coefficients for j in jets]
-    if not all(j.exact for j in jets) and any(
-        isinstance(v, GaussianRational) for row in rows for v in row
-    ):
+    if any(map(_gaussian, rows)):
         return [[complex(v) for v in row] for row in rows]
     return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
 
@@ -722,20 +694,23 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
         raise ValidationError(f"{where}: jets must have equal length")
 
 
-def _rational(*jets: Jet) -> bool:
-    return all(isinstance(v, (int, Fraction)) for j in jets for v in j.coefficients)
-
-
-def _integer_rows(values: Sequence) -> Tuple[list, int, list]:
-    """(real row, d, imaginary row): exact entries as ints over their lcm d."""
-    n = len(values)
-    if any(isinstance(v, GaussianRational) for v in values):
+def _integer_rows(jet: Jet) -> Tuple[list, list, int]:
+    """(real row, imaginary row, d): an exact jet's entries as ints over their lcm d."""
+    values, n = jet.coefficients, len(jet.coefficients)
+    if _gaussian(values):
         values = [GaussianRational.lift(v) for v in values]
         values = [v.re for v in values] + [v.im for v in values]
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     numerators = [a * (d // q) for a, q in ratios]
-    return numerators[:n], d, numerators[n:] or [0] * n
+    return numerators[:n], numerators[n:] or [0] * n, d
+
+
+def _exact_jet(re: list, im: list, d: int, gaussian: bool) -> Jet:
+    """The jet (re + i im) / d: GaussianRationals, or Fractions of re alone."""
+    if gaussian:
+        return Jet(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
+    return Jet(tuple(Fraction(a, d) for a in re))
 
 
 @functools.cache
@@ -744,31 +719,56 @@ def _binomial_rows(n: int) -> tuple:
     return tuple(tuple(math.comb(p, j) for j in range(p + 1)) for p in range(n))
 
 
-def _convolve(x: Jet, y: list, dy: int) -> Jet:
-    """sum_j C(p,j) x_j y_(p-j) for the rational x and y / dy, summed over ints."""
-    xs, dx, _ = _integer_rows(x.coefficients)
-    d, rows = dx * dy, enumerate(_binomial_rows(len(xs)))
-    return Jet(tuple(Fraction(sum(map(mul, map(mul, r, xs), y[p::-1])), d) for p, r in rows))
+def _convolve(xr: list, xi: list, yr: list, yi: list, phase: bool) -> Tuple[list, list]:
+    """Rows (re, im) of out_p = sum_j C(p,j) x_j y_(p-j) for x = xr + i xi and
+    y = yr + i yi, summed over ints; with phase, out_p = (-i)^p sum_j C(p,j) i^j
+    x_j y_(p-j), whose twists are swaps and sign changes of integer pairs. Without
+    phase, a real x and y take one pass per output; otherwise each output's real
+    and imaginary sums share a pass, and the cross sums run only for a nonzero yi."""
+    rows = _binomial_rows(len(xr))
+    if phase:
+        pairs = list(enumerate(zip(xr, xi)))
+        xr = [(a, -b, -a, b)[j % 4] for j, (a, b) in pairs]
+        xi = [(b, a, -b, -a)[j % 4] for j, (a, b) in pairs]
+    elif not (any(xi) or any(yi)):
+        return [sum(map(mul, map(mul, r, xr), yr[p::-1])) for p, r in enumerate(rows)], xi
+    cross, re, im = any(yi), [], []
+    for p, row in enumerate(rows):
+        cy = list(map(mul, row, yr[p::-1]))
+        r, i = sum(map(mul, cy, xr)), sum(map(mul, cy, xi))
+        if cross:
+            cy = list(map(mul, row, yi[p::-1]))
+            r, i = r - sum(map(mul, cy, xi)), i + sum(map(mul, cy, xr))
+        if phase:
+            r, i = ((r, i), (i, -r), (-r, -i), (-i, r))[p % 4]
+        re.append(r)
+        im.append(i)
+    return re, im
 
 
-def _reciprocal(g: list, d: int) -> Tuple[list, int]:
-    """Numerators d H_n g_0^(P-n) of 1/G over g_0^(P+1), G = g/d of order P, with
-    H_0 = 1 and H_n = -sum_{k=1..n} C(n,k) g_k g_0^(k-1) H_(n-k) (Leibniz)."""
-    if g[0] == 0:
+def _reciprocal(gr: list, gi: list, d: int) -> Tuple[list, list, int]:
+    """Rows and denominator of 1/G, G = (gr + i gi)/d of order P. A real G runs
+    H_0 = 1, H_n = -sum_{k=1..n} C(n,k) g_k g_0^(k-1) H_(n-k) (Leibniz) over ints
+    and gives numerators d H_n g_0^(P-n) over g_0^(P+1); a complex G is
+    conj(G) / (G conj(G)), whose G conj(G) has an all-zero imaginary row."""
+    if any(gi):
+        conj = [-v for v in gi]
+        hr, hi, dh = _reciprocal(*_convolve(gr, gi, gr, conj, False), d * d)
+        return (*_convolve(gr, conj, hr, hi, False), d * dh)
+    if gr[0] == 0:
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
-    powers = [g[0] ** k for k in range(len(g) + 1)]
-    gp = list(map(mul, g[1:], powers))  # g_k g_0^(k-1) for k >= 1
+    powers = [gr[0] ** k for k in range(len(gr) + 1)]
+    gp = list(map(mul, gr[1:], powers))  # g_k g_0^(k-1) for k >= 1
     hs = [1]
-    for row in _binomial_rows(len(g))[1:]:
+    for row in _binomial_rows(len(gr))[1:]:
         hs.append(-sum(map(mul, map(mul, row[1:], gp), hs[::-1])))
-    return [d * h * p for h, p in zip(hs, powers[-2::-1])], powers[-1]
+    return [d * h * p for h, p in zip(hs, powers[-2::-1])], gi, powers[-1]
 
 
 def jet_reciprocal(G: Jet) -> Jet:
-    """Derivative values of 1/G at 0 by the exact Leibniz recursion."""
-    if _rational(G):
-        h, d = _reciprocal(*_integer_rows(G.coefficients)[:2])
-        return Jet(tuple(Fraction(v, d) for v in h))
+    """Derivative values of 1/G at 0 by the Leibniz recursion, over ints when exact."""
+    if G.exact:
+        return _exact_jet(*_reciprocal(*_integer_rows(G)), _gaussian(G.coefficients))
     (g,) = _jet_entries(G)
     if g[0] == 0:
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
@@ -793,21 +793,25 @@ def _binomial_convolution(x: Sequence, y: Sequence) -> list:
 
 
 def inversion_coeffs(c: Jet, G: Jet) -> Jet:
-    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0); exact over rationals."""
+    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0); exact over (Gaussian) rationals."""
     _require_same_length(c, G, "inversion_coeffs")
-    if not _rational(c, G):
+    if not (c.exact and G.exact):
         cs, gs = _jet_entries(c, G)
         h = jet_reciprocal(Jet(tuple(gs))).coefficients
         return Jet(tuple(_binomial_convolution(cs, h)))
-    return _convolve(c, *_reciprocal(*_integer_rows(G.coefficients)[:2]))
+    (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
+    gaussian = _gaussian(c.coefficients + G.coefficients)
+    return _exact_jet(*_convolve(xr, xi, yr, yi, False), dx * dy, gaussian)
 
 
 def forward_binomial(b: Jet, G: Jet) -> Jet:
     """c_p = sum_j C(p,j) b_j G^(p-j)(0); inverse of inversion_coeffs."""
     _require_same_length(b, G, "forward_binomial")
-    if not _rational(b, G):
+    if not (b.exact and G.exact):
         return Jet(tuple(_binomial_convolution(*_jet_entries(b, G))))
-    return _convolve(b, *_integer_rows(G.coefficients)[:2])
+    (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
+    gaussian = _gaussian(b.coefficients + G.coefficients)
+    return _exact_jet(*_convolve(xr, xi, yr, yi, False), dx * dy, gaussian)
 
 
 def _complex_phase_convolution(x: Jet, y: Sequence) -> Jet:
@@ -817,35 +821,14 @@ def _complex_phase_convolution(x: Jet, y: Sequence) -> Jet:
     return Jet(tuple(_UNITS[-p % 4] * v for p, v in enumerate(raw)))
 
 
-def _phase_convolution(x: Jet, yr: list, dy: int, yi: list) -> Jet:
-    """(-i)^p sum_j C(p,j) i^j x_j y_(p-j), x exact, y = (yr + i yi)/dy: twists are
-    swaps and sign changes of integer pairs, real and imaginary sums share one
-    pass, and the cross sums run only for a nonzero yi."""
-    ar, dx, ai = _integer_rows(x.coefficients)
-    xr = [(a, -b, -a, b)[j % 4] for j, (a, b) in enumerate(zip(ar, ai))]
-    xi = [(b, a, -b, -a)[j % 4] for j, (a, b) in enumerate(zip(ar, ai))]
-    cross, d, out = any(yi), dx * dy, []
-    for p, row in enumerate(_binomial_rows(len(xr))):
-        cy = list(map(mul, row, yr[p::-1]))
-        re, im = sum(map(mul, cy, xr)), sum(map(mul, cy, xi))
-        if cross:
-            cy = list(map(mul, row, yi[p::-1]))
-            re, im = re - sum(map(mul, cy, xi)), im + sum(map(mul, cy, xr))
-        re, im = ((re, im), (im, -re), (-re, -im), (-im, re))[p % 4]
-        out.append(GaussianRational(Fraction(re, d), Fraction(im, d)))
-    return Jet(tuple(out))
-
-
 def phase_inversion_coeffs(c: Jet, G: Jet) -> Jet:
     """b_p = (-i)^p sum_j C(p,j) i^j c_j (1/G)^(p-j)(0)."""
     _require_same_length(c, G, "phase_inversion_coeffs")
     if not (c.exact and G.exact):
         h = jet_reciprocal(Jet(tuple(complex(v) for v in G.coefficients)))
         return _complex_phase_convolution(c, h.coefficients)
-    g, d, gi = _integer_rows(G.coefficients)
-    if any(gi):  # a complex G keeps the Gaussian-rational jet_reciprocal
-        return _phase_convolution(c, *_integer_rows(jet_reciprocal(G).coefficients))
-    return _phase_convolution(c, *_reciprocal(g, d), [])
+    (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
+    return _exact_jet(*_convolve(xr, xi, yr, yi, True), dx * dy, True)
 
 
 def phase_forward_binomial(b: Jet, G: Jet) -> Jet:
@@ -853,7 +836,8 @@ def phase_forward_binomial(b: Jet, G: Jet) -> Jet:
     _require_same_length(b, G, "phase_forward_binomial")
     if not (b.exact and G.exact):
         return _complex_phase_convolution(b, G.coefficients)
-    return _phase_convolution(b, *_integer_rows(G.coefficients))
+    (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
+    return _exact_jet(*_convolve(xr, xi, yr, yi, True), dx * dy, True)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +938,6 @@ class TaylorBoundReport:
     h: float
     norm: float
     order_cap: int
-    grid_points: int
     witness: Optional[Tuple[int, float]]
     note: str
 
@@ -963,25 +946,22 @@ def taylor_bound_check(
     phi: TestFunction,
     order_cap: int,
     M: WeightSequence,
-    grid_points: int = 1000,
-    tol: float = 1e-9,
 ) -> TaylorBoundReport:
     """Fit the derivative norm, then assert the pointwise flatness bound.
 
     The norm C and radius h come from the envelope fit of the measured
     derivative sups against h^p p! M_p; the asserted bound is
-    |phi(x)| <= C h^p M_p x^p for every order p <= order_cap and grid x.
+    |phi(x)| <= C h^p M_p x^p, up to TAYLOR_LOG_TOL in log |phi|, for every
+    order p <= order_cap and x on a midpoint grid of TAYLOR_GRID_POINTS.
     """
     if phi.taylor_evaluator is None:
         raise ValidationError("taylor_bound_check: needs a Taylor-mode evaluator")
     if order_cap < 8:
         raise ValidationError("taylor_bound_check: order_cap must be >= 8")
-    if grid_points < 16:
-        raise ValidationError("taylor_bound_check: grid_points must be >= 16")
     lo, hi = phi.support
     if not (math.isfinite(hi) and hi <= 1.0):
         raise ValidationError("taylor_bound_check: support must lie inside [0, 1]")
-    xs = [lo + (hi - lo) * (j + 0.5) / grid_points for j in range(grid_points)]
+    xs = [lo + (hi - lo) * (j + 0.5) / TAYLOR_GRID_POINTS for j in range(TAYLOR_GRID_POINTS)]
     sup = [0.0] * (order_cap + 1)
     values = []
     for x in xs:
@@ -1005,7 +985,7 @@ def taylor_bound_check(
         for x, v in zip(xs, values):
             if v == 0.0:
                 continue
-            if math.log(abs(v)) > bound_base + p * math.log(x) + tol:
+            if math.log(abs(v)) > bound_base + p * math.log(x) + TAYLOR_LOG_TOL:
                 witness = (p, x)
                 break
         if witness:
@@ -1021,7 +1001,6 @@ def taylor_bound_check(
         h=fit.h,
         norm=fit.C,
         order_cap=order_cap,
-        grid_points=grid_points,
         witness=witness,
         note=note,
     )

@@ -540,12 +540,16 @@ def verify_poisson_lower_bound(
     return GridCheckReport("poisson_lower_bound", ok, -worst, 0.0, tol, tuple(rows), note)
 
 
+# points on each window circle |z - x| = 1/2 at which verify_g_window_bound
+# takes the max of log |G|
+WINDOW_CIRCLE_POINTS = 12
+
+
 def verify_g_window_bound(
     A: WeightSequence,
     xs: Sequence[float],
     tol: float = 1e-6,
     quad_tol: float = 1e-8,
-    n_circle: int = 24,
 ) -> GridCheckReport:
     """Check max over |z - x| = 1/2 of log |G(z)| <= omega_{hat A}(2) - omega_{hat A}(|x|/2)
     for real |x| >= 1.
@@ -566,8 +570,8 @@ def verify_g_window_bound(
     log_C = omega_plain(2.0)
     rows = []
     worst = math.inf
+    angles = [2.0 * math.pi * k / WINDOW_CIRCLE_POINTS for k in range(WINDOW_CIRCLE_POINTS)]
     for x in xs:
-        angles = [2.0 * math.pi * k / n_circle for k in range(n_circle)]
         m = max(
             _log_modulus(
                 omega_doubled,

@@ -276,7 +276,7 @@ def suite_gfun(quad_tol: float = 1e-7) -> SuiteReport:
         )
     )
     win = verify_g_window_bound(
-        A2, (1.0, 2.5, -6.0), tol=1e-6, quad_tol=quad_tol, n_circle=12
+        A2, (1.0, 2.5, -6.0), tol=1e-6, quad_tol=quad_tol
     )
     checks.append(
         CheckResult(
@@ -306,7 +306,11 @@ def _simpson(f: Callable[[float], float], a: float, b: float, n: int) -> float:
 
 
 def suite_moments(quad_tol: float = 1e-8) -> SuiteReport:
-    """Closed-form moments, membership fits, Laplace and origin identities."""
+    """Closed-form moments, membership fits, Laplace and origin identities.
+
+    The quadratures run to moments' own MOMENT_RTOL, ORIGIN_RTOL and
+    LAPLACE_ATOL; quad_tol is only echoed in the report's params.
+    """
     checks = []
 
     worst = 0.0
@@ -424,7 +428,7 @@ def suite_moments(quad_tol: float = 1e-8) -> SuiteReport:
         )
     )
 
-    rep = taylor_bound_check(bump, 10, make_sequence(GevreySpec(s=1.0)), grid_points=1000)
+    rep = taylor_bound_check(bump, 10, make_sequence(GevreySpec(s=1.0)))
     checks.append(
         CheckResult(
             name="taylor_pointwise_bound",

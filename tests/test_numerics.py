@@ -222,7 +222,7 @@ STRICT_JSON_CASES = {
     "LaplaceSample": LaplaceSample(complex(1.0, 0.0), complex(INF, NAN), INF),
     "GrowthFit": GrowthFit(False, INF, 0.0, (-INF,), NAN, "still rising"),
     "LambdaFit": LambdaFit(False, INF, INF, (-INF,), NAN, "still rising"),
-    "TaylorBoundReport": TaylorBoundReport(False, INF, INF, 10, 64, (3, 0.5), "violated"),
+    "TaylorBoundReport": TaylorBoundReport(False, INF, INF, 10, (3, 0.5), "violated"),
     "Jet": Jet((1.0, complex(INF, 1.0), Fraction(1, 3))),
     "Jet:reciprocal": jet_reciprocal(Jet((1e-320, 1.0, 0.0))),
 }

@@ -148,7 +148,7 @@ def test_g_decay_small_grid():
 
 def test_g_window_bound_small_set():
     A = make_sequence(GevreySpec(s=2.0))
-    rep = verify_g_window_bound(A, [1.5, -3.0], tol=1e-6, quad_tol=1e-7, n_circle=8)
+    rep = verify_g_window_bound(A, [1.5, -3.0], tol=1e-6, quad_tol=1e-7)
     assert rep.ok
     with pytest.raises(ValidationError):
         verify_g_window_bound(A, [0.2], tol=1e-6)
