@@ -9,9 +9,14 @@ Only the modulus is ever needed downstream, so the harmonic conjugate is
 deliberately not computed.
 
 Quadrature is adaptive around the kernel peak with doubling shells outward,
-integrated several at a time by G7/K15 panels on whole node arrays; tails
-are truncated once the extrapolated remainder drops below the requested
-tolerance, and a remainder that refuses to shrink raises QuadratureError.
+integrated several at a time, the center panel together with the first
+shells, by G7/K15 panels on whole node arrays from which converged intervals
+drop out; tails are truncated once the extrapolated remainder drops below
+the requested tolerance, and a remainder that refuses to shrink raises
+QuadratureError. Crossovers past the materialized prefix are found by
+secant and chord probes in log(p+1). None of this moves a bit: each value
+is that of integrating one interval per call, each crossover that of a
+plain gallop-and-bisect search.
 """
 from __future__ import annotations
 
@@ -63,39 +68,85 @@ def as_half_plane_point(z, min_y: float, where: str) -> HalfPlanePoint:
 # ---------------------------------------------------------------------------
 
 
-def _crossings(seq: WeightSequence, log_u: np.ndarray, start: int, cap: int) -> np.ndarray:
+def _crossings(
+    seq: WeightSequence, log_u: np.ndarray, start: int, cap: int, log_m_start: float
+) -> np.ndarray:
     """Smallest p in (start, cap] with log m_p >= log u at each entry of
-    log_u, or cap + 1 where there is none; the predicate must fail at start.
+    log_u, or cap + 1 where there is none; the predicate must fail at start,
+    where log m is log_m_start (nan for start = -1, which has no quotient).
 
     For log-convex sequences the quotients are nondecreasing, so the
     envelope's increments p -> p+1, equal to log u - log m_p, change sign
-    once: the crossover is the argmax. All entries search together: each
-    gallops up from start, doubling p, until the flip is bracketed, then
-    halves its bracket. Quotients are read by seq.log_m_fast, and no probe
-    lands past an entry's bracket: a closed form may refuse indices far
-    beyond the crossover (q_gevrey's past p = 1e15). The evaluator's +-2
-    window absorbs rounding disagreements with the prefix. Its cap is at
-    most 2^60, so every index fits in int64.
+    once: the crossover is the argmax. All entries search together, one
+    seq.log_m_fast call per round, each keeping a bracket lo < p <= hi with
+    hi = cap + 1 until a probe hits. log m is close to linear in log(p+1)
+    for the gevrey-like families, so a row aims where a line through two
+    known quotients crosses log u: while galloping, the secant through the
+    last two values of lo (start's among them); once bracketed, the chord
+    between the bracket ends. An aimed round probes ceil(aim) - 1 and
+    ceil(aim), so an exact line closes the bracket at once. A row without
+    an aim, or whose aimed round neither halved its bracket nor (galloping)
+    doubled lo + 1, takes a plain round next: it doubles p while galloping
+    and halves its bracket after. So every two rounds halve each bracket or
+    double each lo + 1. The probe ceil(aim) lies strictly inside its row's
+    bracket, so every round narrows every row, and only the predicate at
+    the probes moves a bracket: for quotients nondecreasing in p as
+    computed, the result is the smallest such p whatever the aims were.
+
+    A closed form may refuse indices far beyond the crossover (q_gevrey's
+    past p = 1e15), and a secant through convex data can overshoot that far.
+    A refused round is redone, and so are all later ones, with no gallop
+    probe past 2 lo + 2, which lies within twice the crossover. The
+    evaluator's +-2 window absorbs rounding disagreements with the prefix.
+    Its cap is at most 2^60, so every index fits in int64.
     """
-    lo, hi = np.full(log_u.size, start, np.int64), np.full(log_u.size, cap + 1, np.int64)
-    f_lo, f_hi = np.full(log_u.size, np.nan), np.full(log_u.size, np.nan)  # log m there
-    rows, chord = np.arange(log_u.size), False
+    size = log_u.size
+    lo, hi = np.full(size, start, np.int64), np.full(size, cap + 1, np.int64)
+    f_lo, f_hi = np.full(size, log_m_start), np.full(size, np.nan)  # log m there
+    back, f_back = np.full(size, -1, np.int64), np.full(size, np.nan)  # lo before the last probe below
+    plain = np.zeros(size, dtype=bool)  # rows due for a plain round
+    rows, bold = np.arange(size), True
     while rows.size:
-        l, h = lo[rows], hi[rows]
-        p = np.where(h > cap, np.minimum(2 * l + 2, cap), (l + h) // 2)
-        if chord:
-            # log m is close to linear in log(p+1) for the gevrey-like
-            # families: every other round aims where the chord between the
-            # bracket ends crosses log u (nan until both ends are probed)
-            x0, x1 = np.log1p(l.astype(float)), np.log1p(h.astype(float))
-            aim = np.expm1(x0 + (log_u[rows] - f_lo[rows]) / (f_hi[rows] - f_lo[rows]) * (x1 - x0))
-            ok = np.isfinite(aim)
-            p[ok] = np.clip(np.ceil(aim[ok]).astype(np.int64), l[ok] + 1, h[ok] - 1)
-        f = seq.log_m_fast(p)
-        hit = f >= log_u[rows]
-        hi[rows[hit]], f_hi[rows[hit]] = p[hit], f[hit]
-        lo[rows[~hit]], f_lo[rows[~hit]] = p[~hit], f[~hit]
-        rows, chord = rows[hi[rows] - lo[rows] > 1], not chord
+        l, h, lu = lo[rows], hi[rows], log_u[rows]
+        galloping = h > cap
+        p = np.where(galloping, np.minimum(2 * l + 2, cap), (l + h) // 2)
+        a, f_a = np.where(galloping, back[rows], l), np.where(galloping, f_back[rows], f_lo[rows])
+        b, f_b = np.where(galloping, l, h), np.where(galloping, f_lo[rows], f_hi[rows])
+        # a line through an unprobed end (nan, or log1p(-1) = -inf) or with
+        # no rise gives a nan aim, and the row takes its plain probe; an
+        # overflow to inf is clipped to the cap below
+        with np.errstate(all="ignore"):
+            x_a, x_b = np.log1p(a.astype(float)), np.log1p(b.astype(float))
+            aim = np.expm1(x_b + (lu - f_b) * ((x_b - x_a) / (f_b - f_a)))
+        aimed = ~plain[rows] & ~np.isnan(aim)
+        top = np.where(galloping, cap if bold else p, h - 1)[aimed]
+        # clipped to the index range before the cast, which must not see inf
+        c = np.ceil(np.clip(aim[aimed], 0.0, float(cap))).astype(np.int64)
+        p[aimed] = np.minimum(np.maximum(c, l[aimed] + 2), top)
+        try:
+            f = seq.log_m_fast(np.concatenate((p, p[aimed] - 1)))
+        except EvaluationError:
+            if not bold:
+                raise
+            bold = False
+            continue
+        f_p, f_q = f[: rows.size], f[rows.size :]
+        hit = f_p >= lu
+        up, down = rows[~hit], rows[hit]
+        hi[down], f_hi[down] = p[hit], f_p[hit]
+        back[up], f_back[up] = lo[up], f_lo[up]
+        lo[up], f_lo[up] = p[~hit], f_p[~hit]
+        # the aimed rows' second probe, p - 1, moves the bracket where p hit
+        q, hit_p, hit_q = p[aimed] - 1, hit[aimed], f_q >= lu[aimed]
+        down, up = hit_p & hit_q, hit_p & ~hit_q
+        hi[rows[aimed][down]], f_hi[rows[aimed][down]] = q[down], f_q[down]
+        lo[rows[aimed][up]], f_lo[rows[aimed][up]] = q[up], f_q[up]
+        # an aimed round that did not halve the bracket (or, galloping, did
+        # not double lo + 1) is followed by a plain one
+        nl, nh = lo[rows], hi[rows]
+        halved = np.where(galloping, (nh <= cap) | (nl + 1 >= 2 * (l + 1)), 2 * (nh - nl) <= h - l)
+        plain[rows] = aimed & ~halved
+        rows = rows[nh - nl > 1]
     return hi
 
 
@@ -125,7 +176,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     - 2 for one without (its +-2 window reads the prefix up to the limit),
     and BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the
     prefix. Past it `many` raises EvaluationError, which the Poisson tail
-    handler treats as truncation.
+    handler treats as truncation; so it does at once for an infinite or nan
+    |t|, before any search.
 
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
@@ -148,14 +200,21 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         return EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
 
     def window(log_u: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-        """max of p log u - log M_p over p = pivot-2, ..., pivot+2 in each row,
-        skipping p < 0."""
-        p = pivot[:, None] + _WINDOW
-        q = np.maximum(p, 0)
-        terms = p * log_u[:, None] - seq.log_M_extended(q)
-        terms[q != p] = -math.inf
+        """max of p log u - log M_p over p = pivot-2, ..., pivot+2 at each
+        entry, skipping p < 0.
+
+        The terms are five rows, one per offset, which the max folds
+        elementwise: a reduction over a short inner axis costs some 30x
+        more. The fold order may only move the sign of a zero maximum, and
+        the last step makes that canonical.
+        """
+        p = _WINDOW[:, None] + pivot
+        q = np.maximum(p, 0) if pivot.min(initial=2) < 2 else p
+        terms = p * log_u - seq.log_M_extended(q)
+        if q is not p:
+            terms[q != p] = -math.inf
         # + 0.0 turns a -0.0 maximum (p = 0 term below u = 1) into +0.0
-        return np.maximum(terms.max(axis=1), 0.0) + 0.0
+        return np.maximum(terms.max(axis=0), 0.0) + 0.0
 
     def many(ts: np.ndarray) -> np.ndarray:
         """omega at every entry of the 1-D array ts."""
@@ -164,6 +223,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         out = np.zeros(u.size)  # +0.0 at u == 0
         live = u.nonzero()[0]
         u = u[live]
+        if not np.isfinite(u).all():  # no crossover to search for
+            raise beyond(u[~np.isfinite(u)][0])
         # math.log, not np.log: the two disagree in the last bit on some
         # arguments, and the closed forms use math.log
         log_u = np.fromiter(map(math.log, u.tolist()), float, count=u.size)
@@ -176,7 +237,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
                 past = np.flatnonzero(pivot == n)
                 # each distinct |t| once: adjacent shells share their panel ends
                 _, first, where = np.unique(u[past], return_index=True, return_inverse=True)
-                pivot[past] = _crossings(seq, log_u[past][first], n - 1, cap_limit)[where]
+                last = quotients[-1] if n else math.nan
+                pivot[past] = _crossings(seq, log_u[past][first], n - 1, cap_limit, last)[where]
             ok = pivot <= cap_limit  # a prefix at the limit can hold pivots past it
             if not ok.all():  # nodes below the first unreachable one still grow the prefix
                 out[live[ok]] = window(log_u[ok], pivot[ok])
@@ -185,8 +247,6 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
             return out
         # the sup over 0 <= p <= cap, the cap growing 4x from 4096 for the
         # nodes whose argmax it pins
-        if not np.isfinite(u).all():
-            raise beyond(u[~np.isfinite(u)][0])
         rows, cap = np.arange(u.size), 4096
         while rows.size:
             if log_M_all.size <= cap:
@@ -303,6 +363,14 @@ def _integrate(f, intervals: Sequence[tuple[float, float]]) -> list[tuple[float,
     roundoff counters trip. Until then its worst subintervals are bisected,
     as few as bring the error of the rest within that budget. All intervals
     share one call of f per level.
+
+    A closed interval never reopens, since none of its panels is split
+    again: its (value, error) is recorded as it closes and its panels leave
+    the working set. The open intervals' panels keep their order, so each
+    np.bincount still adds an interval's panels in the order it always did.
+    Only the split rule's running error sum spans the intervals, so its
+    rounding, and with it the bits, could in principle depend on what else
+    is in the batch; the golden and Poisson bit pins check that it does not.
     """
     n = len(intervals)
     a = np.array([lo for lo, _ in intervals], dtype=float)
@@ -313,14 +381,18 @@ def _integrate(f, intervals: Sequence[tuple[float, float]]) -> list[tuple[float,
     owner = np.arange(n)
     roundoff1 = np.zeros(n)
     roundoff2 = np.zeros(n)
+    done_value, done_err = np.zeros(n), np.zeros(n)
     while True:
         total = np.bincount(owner, value, minlength=n)
         err_sum = np.bincount(owner, err, minlength=n)
         budget = np.maximum(_EPSABS, _EPSREL * np.abs(total))
         count = np.bincount(owner, minlength=n)
+        # an interval that left the working set has count 0 and stays shut
         open_ = (err_sum > budget) & (count < _LIMIT) & (roundoff1 < 6) & (roundoff2 < 20)
+        shut = ~open_ & (count > 0)
+        done_value[shut], done_err[shut] = total[shut], err_sum[shut]
         if not open_.any():
-            return [(float(v), float(e)) for v, e in zip(total, err_sum)]
+            return [(float(v), float(e)) for v, e in zip(done_value, done_err)]
         # worst first within each interval; split while the rest is over budget
         order = np.lexsort((-err, owner))
         o = owner[order]
@@ -346,7 +418,7 @@ def _integrate(f, intervals: Sequence[tuple[float, float]]) -> list[tuple[float,
         still = (np.abs(value[split] - area12) <= 1e-5 * np.abs(area12)) & (err12 >= 0.99 * err[split])
         roundoff1 += np.bincount(o, still, minlength=n)
         roundoff2 += np.bincount(o, (count[o] > 10) & (err12 > err[split]), minlength=n)
-        keep = np.ones(a.size, dtype=bool)
+        keep = open_[owner]
         keep[split] = False
         a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
         fa, fb = np.concatenate((fa[keep], new_fa)), np.concatenate((fb[keep], new_fb))
@@ -369,9 +441,11 @@ def poisson_transform(
 
     Shells go to _integrate in batches: 4, then as many as that ratio says
     reach the stop, plus one (twice the last batch while no ratio is below
-    0.95). The stopping rule is replayed over each batch, and a batch that
-    hits an unevaluable weight is redone shell by shell, so every result
-    equals that of integrating one shell per call.
+    0.95). The first batch shares its call, and so its bisection levels,
+    with the center panel. The stopping rule is replayed over each batch,
+    and a batch that hits an unevaluable weight is redone shell by shell,
+    after the center alone if the first call failed, so every result equals
+    that of integrating the center and then one shell per call.
 
     A weight with a `many(ts)` method (omega_evaluator's has one) is
     evaluated on whole node arrays; a plain scalar callable is mapped over
@@ -390,18 +464,26 @@ def poisson_transform(
         d = t - x
         return y_over_pi * many(t) / (d * d + y * y)
 
+    def shells_from(r: float, k: int) -> list[tuple[float, float]]:
+        """The next k shells out from radius r, right half then left half."""
+        radii = [r * 2.0**j for j in range(k)]
+        return [iv for q in radii for iv in ((x + q, x + 2.0 * q), (x - 2.0 * q, x - q))]
+
     r = max(4.0 * y, 4.0)
-    ((total, err),) = _integrate(f, [(x - r, x + r)])
+    shells, batch = 0, 4
+    try:
+        (total, err), *pairs = _integrate(f, [(x - r, x + r)] + shells_from(r, batch))
+    except EvaluationError:
+        ((total, err),) = _integrate(f, [(x - r, x + r)])
+        pairs = None
     prev_shell: Optional[float] = None
     tail_bound = math.inf
     rate = 1.0  # the last shell ratio below 0.95
-    shells, batch = 0, 4
     truncated = single = False
     while shells < _MAX_SHELLS and not truncated:
         k = 1 if single else min(batch, _MAX_SHELLS - shells)
-        radii = [r * 2.0**j for j in range(k)]
         try:
-            pairs = _integrate(f, [iv for q in radii for iv in ((x + q, x + 2.0 * q), (x - 2.0 * q, x - q))])
+            pairs = pairs or _integrate(f, shells_from(r, k))
         except EvaluationError:
             truncated, single = k == 1, True  # redo the batch shell by shell
             continue
@@ -421,6 +503,7 @@ def poisson_transform(
             target = 0.25 * tol * max(abs(total), 1e-12)
             if tail_bound <= target:
                 return PoissonResult(total, err + tail_bound, r, shells)
+        pairs = None
         # no stop yet: enough shells for the tail model to reach the target, plus one
         finite = math.isfinite(tail_bound) and target > 0
         batch = math.ceil(math.log(target / tail_bound) / math.log(rate)) + 1 if finite else 2 * batch

@@ -26,7 +26,8 @@ from momentgate import (
     verify_poisson_lower_bound,
 )
 from momentgate import special_functions
-from momentgate.special_functions import _integrate
+from momentgate.sequences import BIG_INDEX_LIMIT
+from momentgate.special_functions import _crossings, _integrate
 
 CATALAN = 0.915965594177219
 
@@ -258,6 +259,54 @@ def test_omega_many_bits_are_pinned(name, prefix, scale):
     assert (digest, len(seq._prefix)) == OMEGA_PINS[name, prefix, scale]
 
 
+def _plain_crossing(seq, log_u, start, cap):
+    """The smallest p in (start, cap] with log m_p >= log_u, else cap + 1,
+    by galloping from start and then bisecting, one probe at a time."""
+    lo, hi = start, cap + 1
+    while hi - lo > 1:
+        p = min(2 * lo + 2, cap) if hi > cap else (lo + hi) // 2
+        if seq.log_m_fast(np.array([p]))[0] >= log_u:
+            hi = p
+        else:
+            lo = p
+    return hi
+
+
+# (spec, prefix materialized beforehand, cap, largest index a log u aims at)
+CROSSING_CASES = (
+    (DerivedSpec("hat", GevreySpec(s=1.0)), 3000, 2**60, 2**61),  # past the cap too
+    (GevreySpec(s=0.3), 1, 2**60, 10**17),
+    (QGevreySpec(q=1.1), 0, 2**60, 10**9),  # a secant overshoots past 1e15
+    (Example38Spec(), 50, BIG_INDEX_LIMIT - 2, BIG_INDEX_LIMIT),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, prefix, cap, top", CROSSING_CASES, ids=("hat_gevrey", "gevrey", "q_gevrey", "example38")
+)
+def test_crossings_match_the_plain_search(spec, prefix, cap, top):
+    # the secant and chord aims only choose the probes: every crossover is
+    # the one a plain gallop-and-bisect search finds
+    seq = make_sequence(spec)
+    if prefix:
+        seq.log_M(prefix)
+    start = len(seq._prefix) - 2
+    log_m_start = seq.log_m(start) if start >= 0 else math.nan
+    rng = np.random.default_rng(5)
+    ps = np.unique(np.exp(rng.uniform(0.0, math.log(top), 60)).astype(np.int64))
+    ps = np.append(ps[ps > start], min(top, cap))
+    ends = seq.log_m_fast(np.minimum(ps, cap))
+    # quotients themselves (ties at the crossover), points next to them, and
+    # the next float past the last one, which has no crossover if that is
+    # log m_cap
+    jitter = 1e-9 * rng.uniform(-1.0, 1.0, ends.size)
+    log_u = np.concatenate((ends, ends + jitter, [np.nextafter(ends[-1], np.inf)]))
+    log_u = log_u[log_u > log_m_start] if start >= 0 else log_u
+    got = _crossings(seq, log_u, start, cap, log_m_start)
+    want = [_plain_crossing(seq, v, start, cap) for v in log_u.tolist()]
+    assert got.tolist() == want
+
+
 def test_omega_many_raises_past_the_reachable_index():
     # gevrey(1) crosses over near p = t; 2^60 is the closed-form reach
     omega = omega_evaluator(make_sequence(GevreySpec(s=1.0)))
@@ -266,6 +315,23 @@ def test_omega_many_raises_past_the_reachable_index():
         omega.many(np.array([2.0, 1e19]))
     with pytest.raises(EvaluationError, match="beyond index"):
         omega(1e19)
+
+
+def test_omega_many_raises_at_once_for_a_non_finite_argument(monkeypatch):
+    # both branches name the first non-finite |t| before any search, which
+    # for an infinite |t| would gallop all the way to the cap
+    convex = make_sequence(GevreySpec(s=1.0))
+    bumpy = make_sequence(ExplicitSpec((0.4, 0.1, 0.9, 0.6), "arithmetic", 0.5))
+    monkeypatch.setattr(special_functions, "_crossings", None)  # never reached
+    for seq, cap in ((convex, 2**60), (bumpy, BIG_INDEX_LIMIT - 1)):
+        omega = omega_evaluator(seq)
+        for bad in (math.inf, -math.inf, math.nan):
+            name = "nan" if math.isnan(bad) else "inf"
+            message = f"^associated function argmax beyond index {cap} at t = {name}$"
+            with pytest.raises(EvaluationError, match=message):
+                omega(bad)
+            with pytest.raises(EvaluationError, match=message):
+                omega.many(np.array([2.0, 1e30, bad, math.nan]))
 
 
 def test_omega_brute_force_reaches_the_cumulative_limit():
@@ -304,39 +370,74 @@ def test_associated_function_is_the_evaluators_scalar_call():
             associated_function(seq, t)
 
 
-# (s, scale, z, P, shells, radius) for P[omega_{hat gevrey(s)}(scale |t|)](z)
-# at tol 1e-7: P as computed by the scipy.integrate.quad shells this
-# quadrature replaced, shells and radius as the shells reach them one
-# _integrate call at a time
+# (s, scale, z, P, shells, radius, value bits, error bits) for
+# P[omega_{hat gevrey(s)}(scale |t|)](z) at tol 1e-7: P as computed by the
+# scipy.integrate.quad shells this quadrature replaced, shells and radius as
+# the shells reach them one _integrate call at a time, and float.hex of the
+# PoissonResult's value and abs_error as the G7/K15 shells compute them, with
+# the points taken in this order (omega values read the prefix earlier points
+# grew). The s = 1 points search crossovers far past the prefix.
 QUAD_PINS = (
-    (1.0, 1.0, complex(-10.0, 0.5), 3.4856495217825105, 46, 281474976710656.0),
-    (1.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 2.8517509998643633, 50, 1.5119227320458094e16),
-    (1.0, 1.0, complex(4.2857142857142865, 3.7142857142857144), 3.42147405847407, 50, 1.67276557588047e16),
-    (1.0, 2.0, complex(-7.959183673469388, 3.0), 6.33902405852382, 49, 6755399441055744.0),
-    (1.0, 2.0, complex(4.2857142857142865, 3.7142857142857144), 5.612954466011974, 50, 1.67276557588047e16),
-    (2.0, 1.0, complex(-10.0, 0.5), 2.5912969659760647, 35, 137438953472.0),
+    (1.0, 1.0, complex(-10.0, 0.5), 3.4856495217825105, 46, 281474976710656.0,
+     "0x1.be29c375790f6p+1", "0x1.7e8b6c362e17bp-24"),
+    (1.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 2.8517509998643633, 50, 1.5119227320458094e16,
+     "0x1.6d062d3e49d67p+1", "0x1.0a5437e7f04d3p-23"),
+    (1.0, 1.0, complex(4.2857142857142865, 3.7142857142857144), 3.42147405847407, 50, 1.67276557588047e16,
+     "0x1.b5f2dc90121a7p+1", "0x1.c6ce19ffce10ep-23"),
+    (1.0, 2.0, complex(-7.959183673469388, 3.0), 6.33902405852382, 49, 6755399441055744.0,
+     "0x1.95b291f36fe69p+2", "0x1.fe818518e2e22p-23"),
+    (1.0, 2.0, complex(4.2857142857142865, 3.7142857142857144), 5.612954466011974, 50, 1.67276557588047e16,
+     "0x1.673aa513fa1fdp+2", "0x1.5895934b0949ap-22"),
+    (2.0, 1.0, complex(-10.0, 0.5), 2.5912969659760647, 35, 137438953472.0,
+     "0x1.4baf9e758f1aap+1", "0x1.ce98960d00e80p-25"),
     # a kink of the weight (t = -1) sits in the end gap of a converged panel
-    (2.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 1.9186956484166784, 38, 3691217607533.7144),
-    (2.0, 1.0, complex(8.367346938775512, 1.5714285714285714), 2.4678569553581564, 37, 863901993252.5714),
-    (2.0, 2.0, complex(-3.8775510204081636, 0.8571428571428572), 2.394136499887649, 37, 549755813888.0),
-    (2.0, 2.0, complex(6.326530612244898, 2.642857142857143), 3.602434720481171, 37, 1452926079561.1428),
+    (2.0, 1.0, complex(-1.8367346938775508, 3.357142857142857), 1.9186956484166784, 38, 3691217607533.7144,
+     "0x1.eb2fa3557280cp+0", "0x1.5e8d3297cf2adp-25"),
+    (2.0, 1.0, complex(8.367346938775512, 1.5714285714285714), 2.4678569553581564, 37, 863901993252.5714,
+     "0x1.3be2bc99b5d7ep+1", "0x1.ace1170159b45p-25"),
+    (2.0, 2.0, complex(-3.8775510204081636, 0.8571428571428572), 2.394136499887649, 37, 549755813888.0,
+     "0x1.327310993920cp+1", "0x1.8f4f1c473eb6ap-25"),
+    (2.0, 2.0, complex(6.326530612244898, 2.642857142857143), 3.602434720481171, 37, 1452926079561.1428,
+     "0x1.cd1c94b79cd45p+1", "0x1.456dcdfb017c7p-24"),
 )
 
 
 def test_poisson_transform_matches_pinned_quad_values():
     evaluators = {}
-    for s, scale, z, pinned, shells, radius in QUAD_PINS:
+    for s, scale, z, pinned, shells, radius, value_bits, error_bits in QUAD_PINS:
         if (s, scale) not in evaluators:
             A_hat = derive(make_sequence(GevreySpec(s=s)), "hat")
             evaluators[s, scale] = omega_evaluator(A_hat, scale=scale)
         res = poisson_transform(evaluators[s, scale], z, tol=1e-7)
         assert res.value == pytest.approx(pinned, rel=1e-7), (s, scale, z)
+        assert (res.value.hex(), res.abs_error.hex()) == (value_bits, error_bits), (s, scale, z)
         assert (res.shells, res.radius) == (shells, radius), (s, scale, z)
     # plain scalar weights against their closed forms at tol 1e-8
     assert poisson_transform(lambda t: 2.5, 0.4 + 1j, tol=1e-8).value == pytest.approx(2.5, rel=1e-8)
     closed = 0.5 * math.log(2.0) + 2.0 * CATALAN / math.pi
     res = poisson_transform(lambda t: math.log1p(abs(t)), 1j, tol=1e-8)
     assert res.value == pytest.approx(closed, rel=1e-8)
+
+
+def test_poisson_center_shares_its_call_with_the_first_shells(monkeypatch):
+    # the center panel and the first four shells (two intervals each) go to
+    # one _integrate call; the rest of the shells to one more
+    counts = []
+
+    def integrate(f, intervals):
+        counts.append(len(intervals))
+        return _integrate(f, intervals)
+
+    monkeypatch.setattr(special_functions, "_integrate", integrate)
+    evaluators = {}
+    for s, scale, z, *_ in QUAD_PINS:
+        if (s, scale) not in evaluators:
+            A_hat = derive(make_sequence(GevreySpec(s=s)), "hat")
+            evaluators[s, scale] = omega_evaluator(A_hat, scale=scale)
+        counts.clear()
+        poisson_transform(evaluators[s, scale], z, tol=1e-7)
+        # one call fewer than with the center in a call of its own
+        assert counts[0] == 1 + 2 * 4 and len(counts) == 2, (s, scale, z, counts)
 
 
 def test_integrate_does_not_depend_on_batch():
