@@ -1,8 +1,9 @@
 """Command line surface: analyze one sequence, sweep a family, run a
 verification battery.
 
-Each subcommand declares only the flags it reads (`momentgate COMMAND
---help` lists them); any other flag, or a value out of range, is an error.
+Each subcommand declares only the flags it reads, and `verify SUITE` the
+keyword parameters of its battery (`momentgate COMMAND --help` lists them);
+any other flag, or a value out of range, is an error.
 
 Exit codes: 0 success, 1 error, 2 analyze finished but produced only
 non-definite verdicts. JSON output is canonical (sorted keys, no spaces),
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import os
@@ -274,13 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(
-        args.suite,
-        horizon=args.horizon,
-        tol=args.tol,
-        quad_tol=args.quad_tol,
-        seed=args.seed,
-    )
+    report = run_suite(args.suite, **{k: getattr(args, k) for k in args.suite_params})
     if args.format == "json":
         text = _dumps(report.to_json())
     else:
@@ -325,13 +321,14 @@ _POSITIVE = _checked(float, lambda x: x > 0, "> 0")
 # the checks read log m_horizon, i.e. log M up to index horizon + 1
 _HORIZON = _checked(int, lambda h: 64 <= h < BIG_INDEX_LIMIT, f">= 64 and < {BIG_INDEX_LIMIT}")
 
-# every flag a subcommand may take, with its add_argument keywords
+# every flag a subcommand may take, with its add_argument keywords; a verify
+# suite's own signature sets the default
 _FLAGS = {
     "--horizon": dict(type=_HORIZON, default=10_000, help="index horizon"),
     "--tol": dict(type=_POSITIVE, default=0.05, help="index bracket tolerance"),
-    "--quad-tol": dict(type=_POSITIVE, default=1e-8, help="Poisson quadrature tolerance of the gfun suite"),
+    "--quad-tol": dict(type=_POSITIVE, help="Poisson quadrature tolerance"),
     "--format": dict(choices=("json", "csv", "pretty"), default="pretty", help="output format"),
-    "--seed": dict(type=int, default=0, help="seed for randomized suites"),
+    "--seed": dict(type=int, help="seed of the random jets"),
     "--jobs": dict(type=_checked(int, lambda j: j >= 1, ">= 1"), default=1, help="worker processes"),
     "--out": dict(metavar="FILE", help="write output to FILE"),
 }
@@ -373,12 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a named verification battery")
-    p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    _add_flags(p, "--horizon", "--tol", "--quad-tol", "--seed")
-    # a suite renders as JSON or as pretty text; it has no CSV form
-    p.add_argument("--format", **{**_FLAGS["--format"], "choices": ("json", "pretty")})
-    _add_flags(p, "--out")
-    p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, suite in SUITES.items():
+        q = suites.add_parser(name)
+        params = inspect.signature(suite).parameters.values()
+        for param in params:
+            flag = "--" + param.name.replace("_", "-")
+            q.add_argument(flag, **{**_FLAGS[flag], "default": param.default})
+        # a suite renders as JSON or as pretty text; it has no CSV form
+        q.add_argument("--format", **{**_FLAGS["--format"], "choices": ("json", "pretty")})
+        _add_flags(q, "--out")
+        q.set_defaults(func=cmd_verify, suite_params=[param.name for param in params])
 
     return parser
 

@@ -460,7 +460,8 @@ class WeightSequence:
 
 def make_sequence(spec: SequenceSpec) -> WeightSequence:
     """Build the evaluator pair for a spec. Derivation trees are walked
-    recursively; check/hat cancellations collapse to the base sequence."""
+    recursively and kept as given, since reports echo the spec: hat(check(X))
+    stays a derived sequence. Only derive() collapses check/hat cancellations."""
     if isinstance(spec, GevreySpec):
         if spec.s <= 0:
             raise ValidationError("gevrey: field 's' must be > 0")

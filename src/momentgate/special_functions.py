@@ -539,16 +539,22 @@ def _log_modulus(omega: Callable[[float], float], pt: HalfPlanePoint, tol: float
     return -4.0 * poisson_transform(omega, shifted, tol=tol).value
 
 
+def _g_omegas(A: WeightSequence) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """t -> omega_{hat A}(2 |t|), which G's Poisson integral reads, and
+    t -> omega_{hat A}(|t|), for an auxiliary A that satisfies (wlc) and (nq)."""
+    require_admissible(A)
+    A_hat = derive(A, "hat")
+    return omega_evaluator(A_hat, scale=2.0), omega_evaluator(A_hat, scale=1.0)
+
+
 def g_log_modulus(A: WeightSequence, z, tol: float = 1e-8) -> float:
     """log |G(z)| = -4 P(z + i) on Im z > -1, where P is the Poisson
     integral of t -> omega_{hat A}(2 |t|).
 
     The auxiliary sequence A must satisfy (wlc) and (nq).
     """
-    require_admissible(A)
-    pt = as_half_plane_point(z, -1.0, "g_log_modulus")
-    omega = omega_evaluator(derive(A, "hat"), scale=2.0)
-    return _log_modulus(omega, pt, tol)
+    omega_doubled, _ = _g_omegas(A)
+    return _log_modulus(omega_doubled, as_half_plane_point(z, -1.0, "g_log_modulus"), tol)
 
 
 @dataclass(frozen=True)
@@ -578,13 +584,10 @@ def verify_g_decay(
 
     A failed bound produces a failed report, not an exception.
     """
-    require_admissible(A)
+    omega_doubled, omega_plain = _g_omegas(A)
     points = [as_half_plane_point(z, -1.0, "verify_g_decay") for z in grid]
     if not points:
         raise ValidationError("verify_g_decay: grid must be nonempty")
-    A_hat = derive(A, "hat")
-    omega_doubled = omega_evaluator(A_hat, scale=2.0)
-    omega_plain = omega_evaluator(A_hat, scale=1.0)
     bound = omega_plain(2.0)
     rows = []
     sup = -math.inf
@@ -641,15 +644,12 @@ def verify_g_window_bound(
     by the Cauchy integral over the circle; |G| is analytic-modulus, so the
     boundary max dominates the disc.
     """
-    require_admissible(A)
+    omega_doubled, omega_plain = _g_omegas(A)
     xs = [float(x) for x in xs]
     if not xs:
         raise ValidationError("verify_g_window_bound: xs must be nonempty")
     if any(abs(x) < 1.0 for x in xs):
         raise ValidationError("verify_g_window_bound: window centers need |x| >= 1")
-    A_hat = derive(A, "hat")
-    omega_doubled = omega_evaluator(A_hat, scale=2.0)
-    omega_plain = omega_evaluator(A_hat, scale=1.0)
     log_C = omega_plain(2.0)
     rows = []
     worst = math.inf

@@ -1,5 +1,6 @@
 """Named verification batteries: transform identities, exact inversion,
-and the block-family index profile.
+and the block-family index profile. A battery's keyword parameters are the
+settings it reads, and all that run_suite and `momentgate verify SUITE` take.
 
 Each battery emits one CheckResult per assertion with the measured value,
 the bound it was held to, and a citation tag so reports can be audited.
@@ -7,6 +8,7 @@ the bound it was held to, and a citation tag so reports can be audited.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -208,7 +210,7 @@ def _lower_bound_grid() -> list:
     ]
 
 
-def suite_gfun(quad_tol: float = 1e-7) -> SuiteReport:
+def suite_gfun(quad_tol: float = 1e-8) -> SuiteReport:
     """Analytic Poisson checks plus the decay and lower-bound grids."""
     checks = []
 
@@ -305,11 +307,11 @@ def _simpson(f: Callable[[float], float], a: float, b: float, n: int) -> float:
     return acc * h / 3.0
 
 
-def suite_moments(quad_tol: float = 1e-8) -> SuiteReport:
+def suite_moments() -> SuiteReport:
     """Closed-form moments, membership fits, Laplace and origin identities.
 
     The quadratures run to moments' own MOMENT_RTOL, ORIGIN_RTOL and
-    LAPLACE_ATOL; quad_tol is only echoed in the report's params.
+    LAPLACE_ATOL, so the battery takes no settings.
     """
     checks = []
 
@@ -439,14 +441,14 @@ def suite_moments(quad_tol: float = 1e-8) -> SuiteReport:
             note=rep.note,
         )
     )
-    return _report("moments", checks, {"quad_tol": quad_tol})
+    return _report("moments", checks, {})
 
 
 # ---------------------------------------------------------------------------
 # the block family
 
 
-def suite_example38(horizon: int = 100000, tol: float = 0.05) -> SuiteReport:
+def suite_example38(horizon: int = 10_000, tol: float = 0.05) -> SuiteReport:
     """Index profile of the delta-block family and its half power."""
     checks = []
     seq = make_sequence(Example38Spec())
@@ -523,22 +525,12 @@ SUITES: Dict[str, Callable[..., SuiteReport]] = {
 }
 
 
-def run_suite(
-    name: str,
-    horizon: int = 100000,
-    tol: float = 0.05,
-    quad_tol: float = 1e-8,
-    seed: int = 0,
-) -> SuiteReport:
-    """Run one named battery with the applicable subset of the config."""
-    if name == "inversion":
-        return suite_inversion(seed=seed)
-    if name == "gfun":
-        return suite_gfun(quad_tol=quad_tol)
-    if name == "moments":
-        return suite_moments(quad_tol=quad_tol)
-    if name == "example38":
-        return suite_example38(horizon=horizon, tol=tol)
-    raise ValidationError(
-        f"run_suite: unknown suite {name!r}; choose from {sorted(SUITES)}"
-    )
+def run_suite(name: str, **params) -> SuiteReport:
+    """Run one named battery with params, which must be its own keywords."""
+    if name not in SUITES:
+        raise ValidationError(f"run_suite: unknown suite {name!r}; choose from {sorted(SUITES)}")
+    try:
+        inspect.signature(SUITES[name]).bind(**params)
+    except TypeError as e:  # "got an unexpected keyword argument 'horizon'"
+        raise ValidationError(f"run_suite: suite {name!r} {e}")
+    return SUITES[name](**params)

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, formats, determinism, sweeps."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 import momentgate
 
-from momentgate.cli import _CSV_FIELDS, main
+from momentgate.cli import _CSV_FIELDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -32,7 +33,7 @@ def test_run_config_invariants(capsys):
     for argv, flag in [
         (("analyze", GEVREY25, "--horizon", "32"), "--horizon"),
         (("analyze", GEVREY25, "--tol", "0"), "--tol"),
-        (("verify", "moments", "--quad-tol", "-1"), "--quad-tol"),
+        (("verify", "gfun", "--quad-tol", "-1"), "--quad-tol"),
         (("sweep", "gevrey", "--values", "1", "--jobs", "0"), "--jobs"),
         (("sweep", "gevrey", "--values", "1", "--tol", "nan"), "--tol"),
         (("verify", "inversion", "--format", "yaml"), "--format"),
@@ -186,8 +187,20 @@ def test_verify_inversion_pretty_and_json(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "nope")
-    assert code == 1 and "unknown suite" in err
+    code, out, err = run(capsys, "verify", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "invalid choice: 'nope'" in err
+
+
+def test_verify_flags_are_the_suite_signature():
+    # each suite's flags, and their defaults, are its keyword parameters
+    parser = _build_parser()
+    for name, suite in momentgate.SUITES.items():
+        args = parser.parse_args(["verify", name])
+        params = inspect.signature(suite).parameters
+        assert args.suite_params == list(params), name
+        assert all(getattr(args, k) == p.default for k, p in params.items()), name
 
 
 @pytest.mark.parametrize(
@@ -205,10 +218,14 @@ def test_verify_unknown_suite(capsys):
         ("sweep", "gevrey", "--values", "1", "--format", "json"),
         ("verify", "inversion", "--jobs", "2"),
         ("verify", "inversion", "--format", "csv"),
+        ("verify", "inversion", "--horizon", "64"),
+        ("verify", "moments", "--quad-tol", "1e-3"),
+        ("verify", "gfun", "--seed", "1"),
     ],
     ids=[
         "bad-int", "unknown-flag", "bad-choice", "no-spec", "unknown-command", "no-command",
         "analyze-seed", "analyze-quad-tol", "sweep-format", "verify-jobs", "verify-csv",
+        "inversion-horizon", "moments-quad-tol", "gfun-seed",
     ],
 )
 def test_parser_errors_are_one_error_line(argv, capsys):

@@ -4,7 +4,10 @@ A change that alters any of these digests changes what the program reports;
 re-record them only together with the reason the report had to change. The
 `verify gfun` digest was last re-recorded when the G7/K15 panel sums moved
 from BLAS `@` to `np.einsum`, whose per-row result does not depend on how
-many panels share the call; three values moved by at most 9e-16.
+many panels share the call; three values moved by at most 9e-16. The
+`verify moments` digest was last re-recorded when the battery stopped
+echoing a `quad_tol` it never read: its `params` went from
+{"quad_tol":1e-8} to {}, and every check's bytes stayed the same.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ from momentgate.cli import main
 
 VERIFY_SHA256 = {
     "inversion": "9794f4b92b6fdecc0903247aaee12379c8a1ddfc80408c2f4fc9b3f3834030bf",
-    "moments": "a781a0146a5ba54aa70c34c3085690d2338e3341f6fb08426cbfec8c819a37f8",
+    "moments": "c75977a02364e546920285bb69559a4e19e88cc5a3763849fd67a87cc7c3a8f9",
     "example38": "5d2105e3e147732395464343a61dbdba3f2dff4abc3ae91f175604aa3d0843f5",
     "gfun": "ec251677232f8ec9be3f72f95e86cf8b87a8da678cf7aafe4e568ce5c0b92fb3",
 }

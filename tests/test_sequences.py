@@ -180,6 +180,18 @@ def test_derive_hat_and_check_cancel():
     assert np.array_equal(check.log_M_extended(p), base.log_M_extended(p) - lfac)
 
 
+def test_spec_trees_are_kept_and_only_derive_collapses():
+    # a report echoes its spec, so make_sequence builds hat(check(X)) as given
+    spec = DerivedSpec(op="hat", base=DerivedSpec(op="check", base=GevreySpec(s=1.0)))
+    kept = make_sequence(spec)
+    assert kept.spec == spec and kept.name == "hat(check(gevrey(1)))"
+    assert kept.metadata == {"mg": True}
+    g = make_sequence(GevreySpec(s=1.0))
+    collapsed = derive(derive(g, "check"), "hat")
+    assert collapsed.spec == GevreySpec(s=1.0) and collapsed.name == "gevrey(1)"
+    assert collapsed.metadata == g.metadata
+
+
 def test_derive_power_scales_and_composes():
     base = make_sequence(Example38Spec())
     half = derive(base, "power", s=0.5)

@@ -9,6 +9,9 @@ def test_suite_registry():
     assert set(SUITES) == {"inversion", "moments", "gfun", "example38"}
     with pytest.raises(ValidationError):
         run_suite("bogus")
+    # a suite takes only the settings it reads
+    with pytest.raises(ValidationError):
+        run_suite("inversion", horizon=5)
 
 
 def test_inversion_suite_passes():
@@ -45,6 +48,7 @@ def test_example38_suite_passes():
 
 def test_suite_report_json():
     rep = run_suite("moments")
+    assert rep.params == {}  # its quadratures run to moments' own tolerances
     data = rep.to_json()
     assert data["suite"] == "moments"
     assert data["schema"] == 1
