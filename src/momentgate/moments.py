@@ -897,10 +897,8 @@ def bump01_taylor(x: float, order: int) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def derivative_function(phi: TestFunction, n: int = 1) -> TestFunction:
-    """The n-th derivative of a compactly supported Taylor-mode function."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("derivative_function: n must be an integer >= 1")
+def derivative_function(phi: TestFunction) -> TestFunction:
+    """The first derivative of a compactly supported Taylor-mode function."""
     if phi.taylor_evaluator is None:
         raise ValidationError(
             "derivative_function: needs a Taylor-mode evaluator "
@@ -911,14 +909,14 @@ def derivative_function(phi: TestFunction, n: int = 1) -> TestFunction:
     base = phi.taylor_evaluator
 
     def ev(x: float) -> float:
-        return base(x, n)[n]
+        return base(x, 1)[1]
 
     def taylor(x: float, order: int) -> Tuple[float, ...]:
-        return base(x, order + n)[n:]
+        return base(x, order + 1)[1:]
 
     return TestFunction(
         kind="user",
-        name=f"{phi.name}'" if n == 1 else f"{phi.name}^({n})",
+        name=f"{phi.name}'",
         evaluator=ev,
         support=phi.support,
         decay_exponent=math.inf,

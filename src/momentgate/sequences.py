@@ -12,9 +12,17 @@ supplies its increments for an index range as one array, and the prefix grows
 by one cumulative sum per request. That sum adds in index order from the last
 stored value, so the stored bits equal those of a term-by-term loop, and the
 prefix ends exactly at the requested index, however earlier requests were
-chunked. Closed forms of log m (and of log M where one exists) on integer
-index arrays serve only past the materialized prefix: envelope searches probe
-far beyond any horizon, and log_M refuses to answer past the limit.
+chunked.
+
+Closed forms on integer index arrays serve only past the materialized prefix,
+and only where a search reads them there: omega_evaluator's crossover search
+on the certified (lc) families, and the delta-block probes of the example38
+families. So gevrey, q_gevrey, example38 and their hat/check/power
+derivations carry a closed log m that answers every index the search reaches
+(up to its cap 2^60, and up to k_8 for the block probes); those built on
+gevrey or q_gevrey carry a closed log M too. An explicit spec or a
+dc_minorant is never certified (lc) nor a delta-block family, so it is built
+from its increments alone, and its quotients stop at the cumulative limit.
 
 Built-in families:
   gevrey(s)    M_p = p!^s             log m_p = s*log(p+1)
@@ -38,7 +46,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .numerics import harmonic_number, harmonic_numbers, log_p1
+from .numerics import harmonic_number, harmonic_numbers, index_label, log_p1
 
 # log_M / prefix materialization is refused beyond this index; quotients are
 # still available through closed forms (big-index path).
@@ -356,32 +364,43 @@ class WeightSequence:
         if p < BIG_INDEX_LIMIT:
             self._ensure(p + 2)
             return self._prefix[p + 1] - self._prefix[p]
-        if self._closed_m is None:
-            raise EvaluationError(
-                f"index {p} exceeds the cumulative limit and this sequence has no "
-                "closed-form big-index quotient"
-            )
         # an object array keeps indices past int64 (example38 probes 2^6561) exact
-        return float(self._closed_m(np.array([p], dtype=object))[0])
+        return float(self.log_m_fast(np.array([p], dtype=object))[0])
 
     def log_m_fast(self, p: np.ndarray) -> np.ndarray:
         """log m_p at each entry of the index array p, without growing the
         prefix: materialized indices read the prefix, the others the closed
-        form, which every log-convex family has.
+        form, which the families a search probes past the prefix carry (see
+        the module docstring). EvaluationError past the prefix without one,
+        or where a quotient leaves the float range.
 
         Searches probing scattered large indices use this; a value may differ
         from log_m by float rounding of the prefix sums.
         """
         n = len(self._prefix) - 1
         if p.min(initial=n) >= n:
-            return self._closed_m(p)
+            return self._closed(p)
         prefix = np.frombuffer(self._prefix)
         q = np.minimum(p, n - 1).astype(np.intp)
         out = prefix[q + 1] - prefix[q]
         past = p >= n
         if past.any():
-            out[past] = self._closed_m(p[past])
+            out[past] = self._closed(p[past])
         return out
+
+    def _closed(self, p: np.ndarray) -> np.ndarray:
+        """The closed-form log m at indices p past the prefix."""
+        if self._closed_m is None:
+            raise EvaluationError(
+                f"index {p.min()} is past the prefix (cumulative limit {BIG_INDEX_LIMIT}) "
+                "and this sequence has no closed-form big-index quotient"
+            )
+        try:
+            return self._closed_m(p)
+        except OverflowError:  # a Python-int index whose quotient passes the float range
+            raise EvaluationError(
+                f"log m_p overflows at an index up to {index_label(p.max())}"
+            ) from None
 
     def log_M_array(self, n: int) -> np.ndarray:
         """[log M_0, ..., log M_n]."""
@@ -480,15 +499,10 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
             raise ValidationError("q_gevrey: field 'q' must be > 1")
         logq = math.log(spec.q)
 
-        def log_m(p: np.ndarray) -> np.ndarray:
-            if p.size and p.max() > 10**15:
-                raise EvaluationError("q_gevrey quotient overflows beyond p = 1e15")
-            return np.asarray((2 * p + 1) * logq, dtype=float)  # object arrays too
-
         return WeightSequence(
             spec,
             lambda lo, hi: np.arange(2 * lo + 1, 2 * hi + 1, 2) * logq,
-            log_m,
+            lambda p: np.asarray((2 * p + 1) * logq, dtype=float),  # object arrays too
             {"lc": True, "dc": True, "mg": False, "borel_surjective": True},
             f"q_gevrey({spec.q:g})",
             closed_M=lambda p: np.square(p.astype(float)) * logq,
@@ -506,44 +520,18 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         )
 
     if isinstance(spec, ExplicitSpec):
-        values = spec.log_m
-        n = len(values)
-        try:
-            head_sum = math.fsum(values)
-        except OverflowError:  # so does log M; _ensure reports it as an error
-            head_sum = sum(values)
+        values, n = spec.log_m, len(spec.log_m)
         if spec.tail_rule == "arithmetic":
-            last = values[n - 1]
-            step = spec.tail_value
-
-            def tail_m(p: np.ndarray) -> np.ndarray:
-                if p.size and p.max() > 10**15:
-                    raise EvaluationError("arithmetic tail overflows beyond p = 1e15")
-                return last + step * (p - (n - 1)).astype(float)
-
+            last, step = values[n - 1], spec.tail_value
             tail = lambda lo, hi: np.arange(lo - (n - 1), hi - (n - 1)) * step + last
-
-            def tail_M(p: np.ndarray) -> np.ndarray:
-                k = (p - n).astype(float)
-                return head_sum + k * last + step * 0.5 * k * (p - n + 1).astype(float)
-
         else:  # power tail: log m_p = c * log(p+1)
-            c = spec.tail_value
-            tail_m = lambda p: c * _mapped(math.log, p + 1)
-            tail = lambda lo, hi: log_p1(lo, hi, c)
-            lgamma_n1 = math.lgamma(n + 1)
-            tail_M = lambda p: head_sum + c * (_mapped(math.lgamma, p + 1) - lgamma_n1)
-
-        head = np.array(values + (0.0,))  # entry n stands in where the tail takes over
-        log_m = lambda p: np.where(p < n, head[np.minimum(p, n).astype(np.intp)], tail_m(np.maximum(p, n)))
-        fsums = lambda p: _mapped(lambda k: math.fsum(values[:k]), p)
-        log_M = lambda p: np.where(p <= n, fsums(np.minimum(p, n)), tail_M(np.maximum(p, n)))
+            tail = lambda lo, hi: log_p1(lo, hi, spec.tail_value)
 
         def inc_array(lo: int, hi: int) -> np.ndarray:
             cut = min(max(lo, n), hi)  # first tail index
             return np.concatenate((values[lo:cut], tail(cut, hi)))
 
-        return WeightSequence(spec, inc_array, log_m, {}, f"explicit[{n}]", closed_M=log_M)
+        return WeightSequence(spec, inc_array, None, {}, f"explicit[{n}]")
 
     if isinstance(spec, DerivedSpec):
         base = make_sequence(spec.base)

@@ -93,19 +93,18 @@ def _crossings(
     the probes moves a bracket: for quotients nondecreasing in p as
     computed, the result is the smallest such p whatever the aims were.
 
-    A closed form may refuse indices far beyond the crossover (q_gevrey's
-    past p = 1e15), and a secant through convex data can overshoot that far.
-    A refused round is redone, and so are all later ones, with no gallop
-    probe past 2 lo + 2, which lies within twice the crossover. The
-    evaluator's +-2 window absorbs rounding disagreements with the prefix.
-    Its cap is at most 2^60, so every index fits in int64.
+    A secant through convex data can overshoot far past the crossover, up
+    to the cap; every closed form answers each index up to it, and the
+    search reads the prefix and the closed forms without growing the
+    prefix. The evaluator's +-2 window absorbs rounding disagreements with
+    the prefix. Its cap is at most 2^60, so every index fits in int64.
     """
     size = log_u.size
     lo, hi = np.full(size, start, np.int64), np.full(size, cap + 1, np.int64)
     f_lo, f_hi = np.full(size, log_m_start), np.full(size, np.nan)  # log m there
     back, f_back = np.full(size, -1, np.int64), np.full(size, np.nan)  # lo before the last probe below
     plain = np.zeros(size, dtype=bool)  # rows due for a plain round
-    rows, bold = np.arange(size), True
+    rows = np.arange(size)
     while rows.size:
         l, h, lu = lo[rows], hi[rows], log_u[rows]
         galloping = h > cap
@@ -119,17 +118,11 @@ def _crossings(
             x_a, x_b = np.log1p(a.astype(float)), np.log1p(b.astype(float))
             aim = np.expm1(x_b + (lu - f_b) * ((x_b - x_a) / (f_b - f_a)))
         aimed = ~plain[rows] & ~np.isnan(aim)
-        top = np.where(galloping, cap if bold else p, h - 1)[aimed]
+        top = np.where(galloping, cap, h - 1)[aimed]
         # clipped to the index range before the cast, which must not see inf
         c = np.ceil(np.clip(aim[aimed], 0.0, float(cap))).astype(np.int64)
         p[aimed] = np.minimum(np.maximum(c, l[aimed] + 2), top)
-        try:
-            f = seq.log_m_fast(np.concatenate((p, p[aimed] - 1)))
-        except EvaluationError:
-            if not bold:
-                raise
-            bold = False
-            continue
+        f = seq.log_m_fast(np.concatenate((p, p[aimed] - 1)))
         f_p, f_q = f[: rows.size], f[rows.size :]
         hit = f_p >= lu
         up, down = rows[~hit], rows[hit]
@@ -168,7 +161,8 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     The returned callable's `many(ts)` evaluates a float array, and a scalar
     call is `many` on one entry. For log-convex sequences np.searchsorted
     finds each crossover in the prefix quotients; the nodes with none there
-    search past it together, each distinct |t| once (_crossings). Other
+    search past it together, each distinct |t| once (_crossings), on the
+    closed-form log m that every certified (lc) family carries. Other
     sequences take their own brute-force sup over 0 <= p <= cap, the cap
     growing on demand, over one log M table that holds the largest cap
     reached so far and is sliced for smaller ones. The reachable index is

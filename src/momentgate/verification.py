@@ -413,7 +413,7 @@ def suite_moments() -> SuiteReport:
         )
     )
 
-    dbump = derivative_function(bump, 1)
+    dbump = derivative_function(bump)
     worst = 0.0
     for p in range(1, 9):
         lhs = moment_origin(dbump, p)

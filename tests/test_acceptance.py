@@ -239,7 +239,7 @@ def test_a07_moment_numerics():
 @criterion("A8", "origin derivative identity and pointwise Taylor bound")
 def test_a08_origin_identities():
     bump = make_bump01()
-    dbump = derivative_function(bump, 1)
+    dbump = derivative_function(bump)
     worst = 0.0
     for p in range(1, 9):
         lhs = moment_origin(dbump, p)

@@ -104,7 +104,7 @@ def test_origin_moment_rejects_blowup():
 
 def test_origin_derivative_identity():
     bump = make_bump01()
-    dbump = derivative_function(bump, 1)
+    dbump = derivative_function(bump)
     for p in (1, 3, 6):
         lhs = moment_origin(dbump, p)
         rhs = p * moment_origin(bump, p + 1)
@@ -507,7 +507,7 @@ def test_bump_taylor_vanishes_at_shoulders():
 
 def test_derivative_function_requires_taylor_data():
     with pytest.raises(ValidationError):
-        derivative_function(make_exp_power(1.0), 1)
+        derivative_function(make_exp_power(1.0))
 
 
 def test_taylor_bound_check_bump_vs_factorials():

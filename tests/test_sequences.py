@@ -107,6 +107,37 @@ def test_explicit_log_M_is_cumulative():
         assert seq.log_M(p) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+def test_q_gevrey_quotient_reaches_the_search_cap():
+    seq = make_sequence(QGevreySpec(q=2.0))
+    got = seq.log_m_fast(np.array([2**60]))[0]
+    assert got == (2 * 2**60 + 1) * math.log(2.0)
+    # a quotient past the float range stays an EvaluationError
+    with pytest.raises(EvaluationError, match="overflows"):
+        seq.log_m(10**400)
+
+
+NO_CLOSED_FORM_SPECS = {
+    "explicit": ExplicitSpec(log_m=(0.0, 0.5), tail_rule="arithmetic", tail_value=0.25),
+    "dc_minorant": DerivedSpec("dc_minorant", GevreySpec(s=1.0)),
+}
+
+
+@pytest.mark.parametrize("spec", NO_CLOSED_FORM_SPECS.values(), ids=NO_CLOSED_FORM_SPECS.keys())
+def test_no_closed_form_past_the_prefix_is_one_error(spec):
+    from momentgate.sequences import BIG_INDEX_LIMIT
+
+    seq = make_sequence(spec)
+    assert seq._closed_m is None and seq._closed_M is None
+    message = "no closed-form big-index quotient$"
+    with pytest.raises(EvaluationError, match=message):
+        seq.log_m(BIG_INDEX_LIMIT)
+    with pytest.raises(EvaluationError, match=message):
+        seq.log_m_fast(np.array([10]))
+    # materialized indices still read the prefix
+    seq.log_M(12)
+    assert seq.log_m_fast(np.array([10]))[0] == seq.log_m(10)
+
+
 def test_spec_json_round_trip():
     specs = [
         {"kind": "gevrey", "s": 2.5},

@@ -185,8 +185,8 @@ def test_omega_many_matches_scalar_bit_for_bit(spec, scale):
 
 
 # (spec, log10 of the largest |t| drawn) for the omega pins: every |t| at
-# scale 2 stays inside the reachable index range (q_gevrey's quotient refuses
-# p > 1e15, example38's family stops at the cumulative limit)
+# scale 2 stays inside the reachable index range (example38's family stops
+# at the cumulative limit; q_gevrey's crossovers stay below p = 4000)
 OMEGA_PIN_SPECS = {
     "q_gevrey_2": (QGevreySpec(q=2.0), 300.0),
     "q_gevrey_1.1": (QGevreySpec(q=1.1), 300.0),
@@ -276,7 +276,7 @@ def _plain_crossing(seq, log_u, start, cap):
 CROSSING_CASES = (
     (DerivedSpec("hat", GevreySpec(s=1.0)), 3000, 2**60, 2**61),  # past the cap too
     (GevreySpec(s=0.3), 1, 2**60, 10**17),
-    (QGevreySpec(q=1.1), 0, 2**60, 10**9),  # a secant overshoots past 1e15
+    (QGevreySpec(q=1.1), 0, 2**60, 10**9),  # a secant overshoots far past the crossover
     (Example38Spec(), 50, BIG_INDEX_LIMIT - 2, BIG_INDEX_LIMIT),
 )
 
@@ -336,7 +336,7 @@ def test_omega_many_raises_at_once_for_a_non_finite_argument(monkeypatch):
 
 def test_omega_brute_force_reaches_the_cumulative_limit():
     # without (lc) the brute force reads only the prefix, up to index
-    # BIG_INDEX_LIMIT - 1, though this explicit tail has a closed form
+    # BIG_INDEX_LIMIT - 1; an explicit spec has no closed form past it
     seq = make_sequence(ExplicitSpec((0.4, 0.1, 0.9, 0.6), "arithmetic", 1e-5))
     omega = omega_evaluator(seq)
     u = math.exp(15.6)
