@@ -46,7 +46,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import EvaluationError, ValidationError
-from .numerics import harmonic_number, harmonic_numbers, index_label, log_p1
+from .numerics import harmonic_number, harmonic_numbers, index_label, log_array, log_p1
 
 # log_M / prefix materialization is refused beyond this index; quotients are
 # still available through closed forms (big-index path).
@@ -213,9 +213,21 @@ def example38_log_m(p: int) -> float:
 
 
 def _mapped(fn: Callable[[int], float], p: np.ndarray) -> np.ndarray:
-    """[fn(x) for x in p] as a float array of Python-int arguments: math.log
-    takes them exactly at any size, and np.log can differ in the last bit."""
+    """[fn(x) for x in p] as a float array, fn taking each entry as a Python
+    int of any size. It serves math.log on object arrays (indices past
+    int64), example38_log_m, and math.lgamma on every index array: scipy's
+    gammaln differs from CPython's lgamma in the last bit."""
     return np.fromiter(map(fn, p.tolist()), float, count=p.size)
+
+
+def _log_p1(p: np.ndarray) -> np.ndarray:
+    """[math.log(x + 1) for x in p] bit for bit. An int64 array takes one
+    compiled pass: its cast to float rounds to nearest-even, as math.log's
+    int conversion does. An object array, whose ints may pass int64, maps
+    math.log."""
+    if p.dtype == object:
+        return _mapped(math.log, p + 1)
+    return log_array((p + 1).astype(float))
 
 
 def _example38_inc_array(lo: int, hi: int) -> np.ndarray:
@@ -488,7 +500,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         return WeightSequence(
             spec,
             lambda lo, hi: log_p1(lo, hi, s),
-            lambda p: s * _mapped(math.log, p + 1),
+            lambda p: s * _log_p1(p),
             {"lc": True, "mg": True, "snq": True},
             f"gevrey({s:g})",
             closed_M=lambda p: s * _mapped(math.lgamma, p + 1),
@@ -627,7 +639,7 @@ def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence
 
     f_m, f_M = base._closed_m, base._closed_M
     if shift:
-        closed_m = f_m and (lambda p: f_m(p) + shift * _mapped(math.log, p + 1))
+        closed_m = f_m and (lambda p: f_m(p) + shift * _log_p1(p))
         closed_M = f_M and (lambda p: f_M(p) + shift * _mapped(math.lgamma, p + 1))
     else:
         closed_m = f_m and (lambda p: scale * f_m(p))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .conditions import check_condition
 from .errors import EvaluationError, QuadratureError, ValidationError
+from .numerics import log_array
 from .sequences import BIG_INDEX_LIMIT, WeightSequence, derive
 
 
@@ -173,6 +174,9 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     handler treats as truncation; so it does at once for an infinite or nan
     |t|, before any search.
 
+    log |t| has math.log's bits, as the closed forms' logs do, from one
+    compiled pass (numerics.log_array imports scipy.special on first call).
+
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
     `len(seq._prefix)` past what callers asked for moves the bits of gfun.
@@ -219,9 +223,7 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         u = u[live]
         if not np.isfinite(u).all():  # no crossover to search for
             raise beyond(u[~np.isfinite(u)][0])
-        # math.log, not np.log: the two disagree in the last bit on some
-        # arguments, and the closed forms use math.log
-        log_u = np.fromiter(map(math.log, u.tolist()), float, count=u.size)
+        log_u = log_array(u)
         if convex:
             if quotients.size != len(seq._prefix) - 1:
                 quotients = seq.log_m_array(len(seq._prefix) - 2)

@@ -178,20 +178,28 @@ def _surjective_from(
                 "the index condition is necessary, so its failure refutes "
                 "surjectivity even without moderate growth"
             )
-    agrees = (gamma.lower > 1.0) == (_map_status(g1.status) is MapStatus.HOLDS)
+    # the bracket's lower end is a beta whose probe held and its upper end
+    # one whose probe failed, and (gamma_beta) holds exactly for beta <
+    # gamma(M): so lower >= 1 reads (gamma_1) as holding, upper <= 1 as
+    # failing, and a bracket around 1 reads nothing
+    if gamma.lower < 1.0 < gamma.upper:
+        corroboration = "gamma bracket does not resolve beta = 1"
+    else:
+        agrees = (gamma.lower >= 1.0) == (_map_status(g1.status) is MapStatus.HOLDS)
+        corroboration = f"gamma bracket {'agrees' if agrees else 'disagrees'} with the direct check"
+        if not agrees:
+            notes.append(
+                f"index bracket [{gamma.lower:g}, {gamma.upper:g}] does not "
+                "corroborate the direct check; trusting the direct check"
+            )
     trace = {
         "criterion": "sup_p m_p/(p+1) * sum_{q>=p} 1/m_q < infinity",
         "gamma_1": g1,
         "hypotheses": {k: hyps[k].status.value for k in hyp_names},
         "mg": hyps["mg"].status.value,
         "gamma_index": gamma,
-        "corroboration": f"gamma bracket {'agrees' if agrees else 'disagrees'} with the direct check",
+        "corroboration": corroboration,
     }
-    if not agrees:
-        notes.append(
-            f"index bracket [{gamma.lower:g}, {gamma.upper:g}] does not "
-            "corroborate the direct check; trusting the direct check"
-        )
     status, gate_notes = _gate(status, hyp_names, hyps)
     return MapVerdict(
         name=name,

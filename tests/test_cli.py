@@ -377,6 +377,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_analyze_leaves_scipy_unloaded():
+    # the omega evaluator imports scipy.special on its first call; analyze
+    # never evaluates omega, so it never pays that import
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("MOMENTGATE_CACHE_DIR", None)
+    probe = (
+        "import io, sys, contextlib\n"
+        "from momentgate.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for spec in (sys.argv[1], sys.argv[2]):\n"
+        "        assert main(['analyze', spec, '--horizon', '4096', '--format', 'json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    specs = ('{"kind":"gevrey","s":1.01}', '{"kind":"q_gevrey","q":2}')
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *specs], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_closed_stdout_exits_without_traceback():
     # `momentgate verify inversion --format json | head -c 100`: the reader
     # goes away mid-output, and the command must exit quietly. Unbuffered,

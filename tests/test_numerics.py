@@ -150,6 +150,21 @@ def test_log_cumsum_skips_a_stagnant_tail(monkeypatch):
     assert sum(folded) <= 2 * numerics._FOLD_BLOCK
 
 
+def test_log_array_carries_the_libm_log_of_math_log():
+    # xlogy(1, x) must reach the libm log that math.log calls: a scipy build
+    # with a log loop of its own (as np.log has) fails here by name
+    rng = np.random.default_rng(21)
+    cases = {
+        "integers 1..2M": np.arange(1, 2_000_001, dtype=float),
+        "log-uniform 1e-300..1e300": 10.0 ** rng.uniform(-300.0, 300.0, 1_000_000),
+        # positive bit patterns below 2^52 are the subnormals
+        "subnormals": np.concatenate(([1, 2**52 - 1], rng.integers(1, 2**52, 100_000))).view(np.float64),
+    }
+    for name, x in cases.items():
+        want = np.fromiter(map(math.log, x.tolist()), float, count=x.size)
+        assert _same_bits(numerics.log_array(x), want), name
+
+
 def test_geometric_indices_memo_is_read_only():
     a = numerics.geometric_indices(10_001, 16)
     assert numerics.geometric_indices(10_001, 16) is a

@@ -22,6 +22,7 @@ from momentgate import (
     spec_from_json,
     spec_to_json,
 )
+from momentgate import sequences
 from momentgate.sequences import MAX_DERIVED_DEPTH
 
 
@@ -114,6 +115,24 @@ def test_q_gevrey_quotient_reaches_the_search_cap():
     # a quotient past the float range stays an EvaluationError
     with pytest.raises(EvaluationError, match="overflows"):
         seq.log_m(10**400)
+
+
+def test_log_p1_is_math_log_on_int64_and_object_indices():
+    rng = np.random.default_rng(5)
+    # int64 to float rounds to nearest-even past 2^53, as math.log's int
+    # conversion does
+    p = np.concatenate((
+        np.arange(2**53 - 64, 2**53 + 64),
+        2 ** np.arange(1, 61) - 2,
+        2 ** np.arange(61) - 1,
+        2 ** np.arange(61),
+        rng.integers(0, 2**60, 10_000),
+    ))
+    want = np.array([math.log(int(x) + 1) for x in p.tolist()])
+    assert p.dtype == np.int64
+    assert np.array_equal(sequences._log_p1(p).view(np.int64), want.view(np.int64))
+    big = np.array([2**6561, 2**64, 5], dtype=object)
+    assert sequences._log_p1(big).tolist() == [math.log(x + 1) for x in big.tolist()]
 
 
 NO_CLOSED_FORM_SPECS = {

@@ -26,6 +26,7 @@ from momentgate import (
     verify_poisson_lower_bound,
 )
 from momentgate import special_functions
+from momentgate.numerics import log_array
 from momentgate.sequences import BIG_INDEX_LIMIT
 from momentgate.special_functions import _crossings, _integrate
 
@@ -438,6 +439,26 @@ def test_poisson_center_shares_its_call_with_the_first_shells(monkeypatch):
         poisson_transform(evaluators[s, scale], z, tol=1e-7)
         # one call fewer than with the center in a call of its own
         assert counts[0] == 1 + 2 * 4 and len(counts) == 2, (s, scale, z, counts)
+
+
+def test_log_array_is_math_log_on_the_nodes_of_a_poisson_and_a_g_point(monkeypatch):
+    # every log |t| an evaluator takes goes through log_array
+    nodes = []
+
+    def recording(u):
+        nodes.append(u.copy())
+        return log_array(u)
+
+    monkeypatch.setattr(special_functions, "log_array", recording)
+    A_hat = derive(make_sequence(GevreySpec(s=1.0)), "hat")
+    poisson_transform(omega_evaluator(A_hat), complex(-10.0, 0.5), tol=1e-7)
+    poisson_nodes = np.concatenate(nodes)
+    nodes.clear()
+    g_log_modulus(make_sequence(GevreySpec(s=2.0)), complex(3.0, 1.0))
+    for u in (poisson_nodes, np.concatenate(nodes)):
+        assert u.size > 10_000
+        want = np.fromiter(map(math.log, u.tolist()), float, count=u.size)
+        assert np.array_equal(log_array(u).view(np.int64), want.view(np.int64))
 
 
 def test_integrate_does_not_depend_on_batch():

@@ -47,6 +47,32 @@ def test_gevrey_boundary_case():
     assert rep.surjective.status is MapStatus.FAILS
 
 
+@pytest.mark.parametrize("s", [1.01, 1.02, 1.03])
+def test_gamma_bracket_from_one_corroborates_the_holding_check(s):
+    # the bracket's lower end is a beta whose probe held, so [1, 1.03125]
+    # reads (gamma_1) as holding, as the direct check finds
+    rep = classify(GevreySpec(s=s), horizon=4096)
+    assert (rep.gamma.lower, rep.gamma.upper) == (1.0, 1.03125)
+    for verdict in (rep.surjective, rep.origin_surjective):
+        assert verdict.trace["gamma_1"].status is Status.HOLDS_AT_HORIZON
+        assert verdict.trace["corroboration"] == "gamma bracket agrees with the direct check"
+        assert not any("corroborate" in note for note in verdict.notes)
+
+
+def test_gamma_bracket_around_one_claims_nothing(monkeypatch):
+    gamma_index = verdicts.gamma_index
+
+    def straddling(seq, horizon, tol):
+        return dataclasses.replace(gamma_index(seq, horizon=horizon, tol=tol), lower=0.75, upper=1.25)
+
+    monkeypatch.setattr(verdicts, "gamma_index", straddling)
+    for s in (0.5, 2.0):  # the direct check fails, then holds
+        rep = classify(GevreySpec(s=s), horizon=256)
+        for verdict in (rep.surjective, rep.origin_surjective):
+            assert verdict.trace["corroboration"] == "gamma bracket does not resolve beta = 1"
+            assert not any("corroborate" in note for note in verdict.notes)
+
+
 def test_q_gevrey_surjective_without_mg():
     rep = classify(QGevreySpec(q=2.0))
     assert rep.hypotheses["mg"].status.value == "fails"
