@@ -191,6 +191,10 @@ def _render_pretty(rep: MomentMapReport) -> str:
 # commands
 
 
+# the sweepable families and the spec field each one sweeps
+_FAMILIES = {"gevrey": "s", "q_gevrey": "q"}
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     seq = make_sequence(spec)
@@ -201,16 +205,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         text = _dumps(report.to_json())
     elif args.format == "csv":
         kind = report.sequence.get("kind", "")
-        param = {"gevrey": "s", "q_gevrey": "q"}.get(kind, "")
+        param = _FAMILIES.get(kind, "")
         value = report.sequence.get(param) if param else None
         text = _rows_to_csv([_row_from_report(kind, param, value, report)])
     else:
         text = _render_pretty(report)
     _emit(text, args.out)
     return 0 if report.any_definite else 2
-
-
-_FAMILIES = {"gevrey": "s", "q_gevrey": "q"}
 
 
 def _sweep_task(task) -> dict:

@@ -16,13 +16,16 @@ chunked.
 
 Closed forms on integer index arrays serve only past the materialized prefix,
 and only where a search reads them there: omega_evaluator's crossover search
-on the certified (lc) families, and the delta-block probes of the example38
-families. So gevrey, q_gevrey, example38 and their hat/check/power
-derivations carry a closed log m that answers every index the search reaches
-(up to its cap 2^60, and up to k_8 for the block probes); those built on
-gevrey or q_gevrey carry a closed log M too. An explicit spec or a
-dc_minorant is never certified (lc) nor a delta-block family, so it is built
-from its increments alone, and its quotients stop at the cumulative limit.
+past the prefix, which only the certified (lc) families take, and the
+delta-block probes of the example38 families. So gevrey, q_gevrey, example38
+and their hat/check/power derivations carry a closed log m that answers
+every index the search reaches (up to its cap 2^60, and up to k_8 for the
+block probes); those built on gevrey or q_gevrey carry a closed log M too.
+An explicit spec or a dc_minorant is never certified (lc) nor a delta-block
+family, so it is built from its increments alone, and its quotients stop at
+the cumulative limit. Without (lc), omega_evaluator searches the isotonic
+regression of the prefix quotients (the slopes of the lower convex hull of
+log M), growing the prefix up to that limit.
 
 Built-in families:
   gevrey(s)    M_p = p!^s             log m_p = s*log(p+1)

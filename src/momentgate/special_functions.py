@@ -13,10 +13,10 @@ integrated several at a time, the center panel together with the first
 shells, by G7/K15 panels on whole node arrays from which converged intervals
 drop out; tails are truncated once the extrapolated remainder drops below
 the requested tolerance, and a remainder that refuses to shrink raises
-QuadratureError. Crossovers past the materialized prefix are found by
-secant and chord probes in log(p+1). None of this moves a bit: each value
-is that of integrating one interval per call, each crossover that of a
-plain gallop-and-bisect search.
+QuadratureError. An (lc) sequence's crossovers past the materialized
+prefix are found by secant and chord probes in log(p+1). None of this moves
+a bit: each value is that of integrating one interval per call, each
+crossover that of a plain gallop-and-bisect search.
 """
 from __future__ import annotations
 
@@ -160,19 +160,23 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     """Even evaluator t -> omega_seq(scale * |t|); it keeps no memo of values.
 
     The returned callable's `many(ts)` evaluates a float array, and a scalar
-    call is `many` on one entry. For log-convex sequences np.searchsorted
-    finds each crossover in the prefix quotients; the nodes with none there
-    search past it together, each distinct |t| once (_crossings), on the
-    closed-form log m that every certified (lc) family carries. Other
-    sequences take their own brute-force sup over 0 <= p <= cap, the cap
-    growing on demand, over one log M table that holds the largest cap
-    reached so far and is sliced for smaller ones. The reachable index is
-    2^60 for a log-convex sequence with a closed-form log M, BIG_INDEX_LIMIT
-    - 2 for one without (its +-2 window reads the prefix up to the limit),
-    and BIG_INDEX_LIMIT - 1 otherwise: the brute force reads only the
-    prefix. Past it `many` raises EvaluationError, which the Poisson tail
-    handler treats as truncation; so it does at once for an infinite or nan
-    |t|, before any search.
+    call is `many` on one entry. Every sequence takes one search: omega_M =
+    omega_(M^c), where log M^c is the lower convex hull of p -> log M_p
+    (Komatsu 1973), so np.searchsorted finds each crossover among the hull's
+    slopes over the prefix, and the max of p log u - log M_p over the +-2
+    window around it absorbs their rounding. For a certified (lc) sequence
+    the slopes are the prefix quotients themselves; for any other they are
+    the quotients' isotonic regression (Barlow et al. 1972), and
+    scipy.optimize is imported on the first such search. Only an (lc)
+    sequence searches past the prefix, each distinct |t| once (_crossings),
+    on the closed-form log m that every certified (lc) family carries;
+    without (lc), crossovers at the prefix end grow the prefix 4x, from
+    log M_4096 on, and search again. So there are two reaches: index 2^60
+    for an (lc) sequence with a closed-form log M, and BIG_INDEX_LIMIT - 2
+    for all others, whose window reads the prefix up to the limit. Past it
+    `many` raises EvaluationError, which the Poisson tail handler treats as
+    truncation; so it does at once for an infinite or nan |t|, before any
+    search.
 
     log |t| has math.log's bits, as the closed forms' logs do, from one
     compiled pass (numerics.log_array imports scipy.special on first call).
@@ -184,15 +188,10 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
     convex = seq.certifies("lc")
-    if not convex:
-        cap_limit = BIG_INDEX_LIMIT - 1
-    else:
-        cap_limit = 2**60 if seq._closed_M is not None else BIG_INDEX_LIMIT - 2
-    # log m_0..log m_(n-1) of the prefix as last seen; the prefix only ever
+    cap_limit = 2**60 if convex and seq._closed_M is not None else BIG_INDEX_LIMIT - 2
+    # the hull slopes over the prefix as last seen; the prefix only ever
     # grows, so its length identifies it
-    quotients = np.zeros(0)
-    # (0..cap, log M_0..log M_cap) at the largest cap reached; the prefix never changes
-    index_all = log_M_all = np.zeros(0)
+    slopes = np.zeros(0)
 
     def beyond(u: float) -> EvaluationError:
         return EvaluationError(f"associated function argmax beyond index {cap_limit} at t = {u:g}")
@@ -216,7 +215,7 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
 
     def many(ts: np.ndarray) -> np.ndarray:
         """omega at every entry of the 1-D array ts."""
-        nonlocal quotients, index_all, log_M_all
+        nonlocal slopes
         u = scale * np.abs(np.asarray(ts, dtype=float))
         out = np.zeros(u.size)  # +0.0 at u == 0
         live = u.nonzero()[0]
@@ -224,41 +223,35 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         if not np.isfinite(u).all():  # no crossover to search for
             raise beyond(u[~np.isfinite(u)][0])
         log_u = log_array(u)
-        if convex:
-            if quotients.size != len(seq._prefix) - 1:
-                quotients = seq.log_m_array(len(seq._prefix) - 2)
-            n = quotients.size
-            pivot = quotients.searchsorted(log_u)  # first p with log m_p >= log u
-            if pivot.max(initial=0) == n:
-                past = np.flatnonzero(pivot == n)
-                # each distinct |t| once: adjacent shells share their panel ends
-                _, first, where = np.unique(u[past], return_index=True, return_inverse=True)
-                last = quotients[-1] if n else math.nan
-                pivot[past] = _crossings(seq, log_u[past][first], n - 1, cap_limit, last)[where]
-            ok = pivot <= cap_limit  # a prefix at the limit can hold pivots past it
-            if not ok.all():  # nodes below the first unreachable one still grow the prefix
-                out[live[ok]] = window(log_u[ok], pivot[ok])
-                raise beyond(u[~ok].min())
-            out[live] = window(log_u, pivot)
-            return out
-        # the sup over 0 <= p <= cap, the cap growing 4x from 4096 for the
-        # nodes whose argmax it pins
-        rows, cap = np.arange(u.size), 4096
+        # first p with slope_p >= log u: the hull vertex where the terms
+        # p log u - log M_p peak. Without (lc) the crossovers at the prefix
+        # end grow it 4x, from log M_4096 up to the limit, and search again.
+        pivot, rows, grow = np.zeros(u.size, np.int64), np.arange(u.size), 4096
         while rows.size:
-            if log_M_all.size <= cap:
-                index_all, log_M_all = np.arange(cap + 1, dtype=float), seq.log_M_array(cap)
-            index, log_M = index_all[: cap + 1], log_M_all[: cap + 1]
-            pinned, per = [], max(1, 2**20 // (cap + 1))  # nodes per block of f
-            for block in (rows[i : i + per] for i in range(0, rows.size, per)):
-                f = index * log_u[block, None] - log_M
-                best = np.argmax(f, axis=1)
-                done = best < cap
-                out[live[block[done]]] = np.maximum(f[np.flatnonzero(done), best[done]], 0.0) + 0.0
-                pinned.append(block[~done])
-            rows = np.concatenate(pinned)
-            if rows.size and cap >= cap_limit:
-                raise beyond(u[rows].min())
-            cap = min(cap * 4, cap_limit)
+            if not convex:
+                seq.log_M(grow)
+            n = len(seq._prefix) - 1
+            if slopes.size != n:
+                slopes = seq.log_m_array(n - 1)
+                if not convex:  # loaded on first use, as log_array loads scipy.special
+                    from scipy.optimize import isotonic_regression
+
+                    slopes = isotonic_regression(slopes).x
+            pivot[rows] = slopes.searchsorted(log_u[rows])
+            rows = rows[pivot[rows] == n]
+            if convex or n == BIG_INDEX_LIMIT:
+                break
+            grow = min(4 * n, BIG_INDEX_LIMIT)
+        if convex and rows.size:
+            # each distinct |t| once: adjacent shells share their panel ends
+            _, first, where = np.unique(u[rows], return_index=True, return_inverse=True)
+            last = slopes[-1] if n else math.nan
+            pivot[rows] = _crossings(seq, log_u[rows][first], n - 1, cap_limit, last)[where]
+        ok = pivot <= cap_limit  # a prefix at the limit can hold pivots past it
+        if not ok.all():  # nodes below the first unreachable one still grow the prefix
+            out[live[ok]] = window(log_u[ok], pivot[ok])
+            raise beyond(u[~ok].min())
+        out[live] = window(log_u, pivot)
         return out
 
     def omega(t: float) -> float:

@@ -140,6 +140,26 @@ def test_sweep_q_gevrey_inf_marker(capsys):
         assert row["gamma_estimate"] == "inf"
 
 
+@pytest.mark.parametrize("family, param, value", (("gevrey", "s", "2.5"), ("q_gevrey", "q", "2")))
+def test_analyze_csv_row_names_the_family_as_sweep_does(capsys, family, param, value):
+    keys = ("family", "param", "value")
+    code, out, _ = run(capsys, "analyze", json.dumps({"kind": family, param: float(value)}), "--format", "csv")
+    assert code in (0, 2)
+    (analyzed,) = csv.DictReader(io.StringIO(out))
+    code, out, _ = run(capsys, "sweep", family, "--values", value)
+    assert code == 0
+    (swept,) = csv.DictReader(io.StringIO(out))
+    assert [analyzed[k] for k in keys] == [swept[k] for k in keys] == [family, param, value]
+
+
+def test_analyze_csv_row_of_an_explicit_spec_has_no_param(capsys):
+    spec = '{"kind":"explicit","log_m":[0.5,1.0],"tail":{"rule":"arithmetic","step":0.5}}'
+    code, out, _ = run(capsys, "analyze", spec, "--format", "csv")
+    assert code in (0, 2)
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["family"], row["param"], row["value"]) == ("explicit", "", "")
+
+
 def test_sweep_empty_grid_is_an_error(capsys):
     code, _, err = run(capsys, "sweep", "gevrey", "--values", "")
     assert code == 1 and "empty grid" in err

@@ -17,6 +17,9 @@ import pytest
 
 from momentgate.cli import main
 
+# the gfun report holds a few worst-case slacks, which do not move with the
+# last bit of a log: the libm log bits are pinned by OMEGA_PINS and QUAD_PINS
+# in test_specfun.py
 VERIFY_SHA256 = {
     "inversion": "9794f4b92b6fdecc0903247aaee12379c8a1ddfc80408c2f4fc9b3f3834030bf",
     "moments": "c75977a02364e546920285bb69559a4e19e88cc5a3763849fd67a87cc7c3a8f9",

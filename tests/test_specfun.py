@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,7 +61,7 @@ def test_omega_evaluator_matches_direct_sup():
     # below t = 1 the p = 0 term is -0.0; the envelope reports +0.0
     assert math.copysign(1.0, omega(0.3)) == 1.0
     assert math.copysign(1.0, associated_function(seq, 0.3)) == 1.0
-    # so does the brute-force branch, for a sequence without (lc)
+    # so does a sequence without (lc), searched on its hull slopes
     bumpy = make_sequence(ExplicitSpec((0.5, 0.2, 0.9), "arithmetic", 0.3))
     assert math.copysign(1.0, associated_function(bumpy, 0.3)) == 1.0
     assert math.copysign(1.0, omega_evaluator(bumpy)(0.3)) == 1.0
@@ -161,7 +164,7 @@ def test_g_window_bound_small_set():
 ARRAY_OMEGA_SPECS = (
     GevreySpec(s=1.5),
     QGevreySpec(q=2.0),
-    # quotients not monotone: not (lc), evaluated by the brute-force sup
+    # quotients not monotone: not (lc), searched on their isotonic regression
     ExplicitSpec(log_m=(0.4, 0.1, 0.9, 0.6), tail_rule="arithmetic", tail_value=0.5),
 )
 
@@ -319,12 +322,12 @@ def test_omega_many_raises_past_the_reachable_index():
 
 
 def test_omega_many_raises_at_once_for_a_non_finite_argument(monkeypatch):
-    # both branches name the first non-finite |t| before any search, which
-    # for an infinite |t| would gallop all the way to the cap
+    # with (lc) or without, the first non-finite |t| is named before any
+    # search, which for an infinite |t| would gallop all the way to the cap
     convex = make_sequence(GevreySpec(s=1.0))
     bumpy = make_sequence(ExplicitSpec((0.4, 0.1, 0.9, 0.6), "arithmetic", 0.5))
     monkeypatch.setattr(special_functions, "_crossings", None)  # never reached
-    for seq, cap in ((convex, 2**60), (bumpy, BIG_INDEX_LIMIT - 1)):
+    for seq, cap in ((convex, 2**60), (bumpy, BIG_INDEX_LIMIT - 2)):
         omega = omega_evaluator(seq)
         for bad in (math.inf, -math.inf, math.nan):
             name = "nan" if math.isnan(bad) else "inf"
@@ -335,9 +338,9 @@ def test_omega_many_raises_at_once_for_a_non_finite_argument(monkeypatch):
                 omega.many(np.array([2.0, 1e30, bad, math.nan]))
 
 
-def test_omega_brute_force_reaches_the_cumulative_limit():
-    # without (lc) the brute force reads only the prefix, up to index
-    # BIG_INDEX_LIMIT - 1; an explicit spec has no closed form past it
+def test_omega_without_lc_reaches_the_cumulative_limit():
+    # without (lc) the search reads only the prefix, grown 4x at a time up
+    # to index BIG_INDEX_LIMIT; an explicit spec has no closed form past it
     seq = make_sequence(ExplicitSpec((0.4, 0.1, 0.9, 0.6), "arithmetic", 1e-5))
     omega = omega_evaluator(seq)
     u = math.exp(15.6)
@@ -361,6 +364,97 @@ def test_omega_window_stays_inside_the_cumulative_limit():
     assert omega(inside) == omega_evaluator(ref)(inside) > 0.0
     with pytest.raises(EvaluationError, match="beyond index 1999998"):
         omega(past)  # read from the prefix, now grown to the limit
+
+
+def _hull_reference_specs():
+    """name -> (spec, top, log u range or None) for the omega reference test:
+    seeded random explicit heads with arithmetic and power tails, and hat,
+    check and power of them, none of them certified (lc). `top` bounds the
+    brute-force sup; None draws log u up to log m at top/2, which for these
+    tails (increasing from some small p on) puts every maximum below top."""
+    rng = np.random.default_rng(3)
+    specs = {}
+    for k in range(3):
+        head = tuple(rng.uniform(-1.0, 3.0, int(rng.integers(5, 40))).tolist())
+        for rule, value in (("arithmetic", rng.uniform(0.05, 0.5)), ("power", rng.uniform(1.5, 3.0))):
+            x = ExplicitSpec(head, rule, float(value))
+            specs[f"{rule}{k}"] = (x, 16384, None)
+            specs[f"hat_{rule}{k}"] = (DerivedSpec("hat", x), 16384, None)
+            specs[f"check_{rule}{k}"] = (DerivedSpec("check", x), 16384, None)
+            specs[f"power_{rule}{k}"] = (DerivedSpec("power", x, float(rng.uniform(0.5, 2.0))), 16384, None)
+    specs["dc_gevrey_2"] = (DerivedSpec("dc_minorant", GevreySpec(s=2.0)), 16384, None)
+    specs["hat_dc_gevrey_1.3"] = (DerivedSpec("hat", DerivedSpec("dc_minorant", GevreySpec(s=1.3))), 16384, None)
+    # log m_p = log(p+1), but check does not certify (lc): crossovers past
+    # the closed-form switch at p = 65536, after three 4x prefix growths
+    specs["check_gevrey_2"] = (DerivedSpec("check", GevreySpec(s=2.0)), 262144, (math.log(65537.0), math.log(1.3e5)))
+    return specs
+
+
+HULL_REFERENCE_SPECS = _hull_reference_specs()
+
+
+def _brute_force_sup(log_M, log_u):
+    """max(0, max over p of p log u - log M_p) + 0.0 at each log u, and the
+    first p where the inner max is attained."""
+    index = np.arange(log_M.size, dtype=float)
+    value, where = np.empty(log_u.size), np.empty(log_u.size, np.int64)
+    for i in range(0, log_u.size, 64):
+        f = index * log_u[i : i + 64, None] - log_M
+        where[i : i + 64] = f.argmax(axis=1)
+        value[i : i + 64] = f.max(axis=1)
+    return np.maximum(value, 0.0) + 0.0, where
+
+
+@pytest.mark.parametrize("name", sorted(HULL_REFERENCE_SPECS))
+@pytest.mark.parametrize("scale", (1.0, 2.0))
+def test_omega_without_lc_matches_a_brute_force_sup(name, scale):
+    # the search reads the slopes of the lower convex hull of p -> log M_p,
+    # the isotonic regression of the quotients; the sup it finds is the one
+    # a scan over every p finds
+    from scipy.optimize import isotonic_regression
+
+    spec, top, span = HULL_REFERENCE_SPECS[name]
+    ref = make_sequence(spec)
+    log_M = ref.log_M_array(top)
+    assert not ref.certifies("lc")
+    rng = np.random.default_rng(17)
+    if span is None:
+        q = ref.log_m_array(top // 2)
+        span = (q.min() - 1.0, min(q[-1], 700.0))
+    u = np.exp(rng.uniform(*span, 1000 if top <= 16384 else 200))
+    # at a pooled slope of the hull the two ends of its edge tie exactly:
+    # nodes at it and at its float neighbours
+    hull = isotonic_regression(ref.log_m_array(top - 1))
+    pooled = hull.x[hull.blocks[:-1][hull.weights > 1]]
+    ties = np.exp(pooled[pooled < span[1]])
+    ties = np.concatenate([ties] + [np.nextafter(ties, sign * np.inf) for sign in (-1, 1)])
+    if "gevrey" not in name:
+        assert ties.size  # a random head pools somewhere
+    nodes = np.concatenate((u, ties))
+    got = omega_evaluator(make_sequence(spec), scale=scale).many(nodes / scale)  # dividing by 2 is exact
+    want, where = _brute_force_sup(log_M, np.array([math.log(v) for v in nodes.tolist()]))
+    assert where.max() < top - 2  # every sup lies inside the scan
+    assert np.array_equal(got[: u.size].view(np.int64), want[: u.size].view(np.int64))
+    np.testing.assert_allclose(got[u.size :], want[u.size :], rtol=1e-14, atol=0.0)
+
+
+def test_omega_search_without_lc_imports_scipy_optimize_lazily():
+    # the isotonic regression comes from scipy.optimize, imported on the
+    # first search of a sequence without (lc); (lc) sequences never load it
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from momentgate import DerivedSpec, ExplicitSpec, GevreySpec, make_sequence, omega_evaluator\n"
+        "omega_evaluator(make_sequence(DerivedSpec('hat', GevreySpec(s=1.0)))).many(np.array([2.0, 1e6]))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "omega_evaluator(make_sequence(ExplicitSpec((0.4, 0.1), 'arithmetic', 0.5))).many(np.array([2.0]))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(special_functions.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_associated_function_is_the_evaluators_scalar_call():
