@@ -195,12 +195,18 @@ def _render_pretty(rep: MomentMapReport) -> str:
 _FAMILIES = {"gevrey": "s", "q_gevrey": "q"}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+def _analyze(spec: SequenceSpec, horizon: int, tol: float) -> MomentMapReport:
+    # make_sequence, cache and classify are looked up at call time, so a
+    # tracer that rebinds them on this module sees every analysis
     seq = make_sequence(spec)
     cache.warm(seq)
-    report = classify(seq, horizon=args.horizon, tol=args.tol)
+    report = classify(seq, horizon=horizon, tol=tol)
     cache.persist(seq)
+    return report
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    report = _analyze(_load_spec(args.spec), args.horizon, args.tol)
     if args.format == "json":
         text = _dumps(report.to_json())
     elif args.format == "csv":
@@ -217,11 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _sweep_task(task) -> dict:
     family, param, value, horizon, tol = task
     try:
-        spec = spec_from_json({"kind": family, param: value})
-        seq = make_sequence(spec)
-        cache.warm(seq)
-        rep = classify(seq, horizon=horizon, tol=tol)
-        cache.persist(seq)
+        rep = _analyze(spec_from_json({"kind": family, param: value}), horizon, tol)
         return _row_from_report(family, param, value, rep)
     except Exception as e:  # per-row isolation: the sweep must keep going
         row = _empty_row(family, param, value)

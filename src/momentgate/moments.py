@@ -2,11 +2,13 @@
 jet inversion.
 
 Test functions are plain evaluators carrying a decay declaration; the
-quadrature routines refuse work the declaration cannot support. An exact
-jet (int, Fraction or GaussianRational entries) runs as a real and an
-imaginary row of integers over one common denominator; GaussianRational is
-only the entry type of complex results and has no arithmetic. Any other jet
-runs in float/complex arithmetic.
+quadrature routines refuse work the declaration cannot support. Every jet
+runs as a real and an imaginary row of integers over one common denominator:
+int, Fraction and GaussianRational entries as they are, a float or complex
+entry as the binary rational it holds (inf and nan are refused). A result
+from exact entries stays exact; any other is rounded once, entry by entry,
+to the nearest float. GaussianRational is only the entry type of exact
+complex results and has no arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
 
 _TINY = 1e-300
 _LOG_TINY = -650.0
-_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)  # i^k for k = 0..3, the phase twists
 
 # Accuracy targets of the quadratures: relative for moment (and
 # moment_with_error) and moment_origin, absolute for laplace_sample.
@@ -648,11 +649,18 @@ class GaussianRational:
 
 
 JetEntry = Union[int, Fraction, float, complex, GaussianRational]
+_EXACT = (GaussianRational, int, Fraction)
 
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative values g(0), g'(0), ..., g^(P)(0) of a germ at 0."""
+    """Derivative values g(0), g'(0), ..., g^(P)(0) of a germ at 0.
+
+    The jet functions read every entry exactly, a float or complex one as the
+    binary rational it holds, and give Fractions (GaussianRationals when
+    complex) from exact entries and floats rounded once from any others. A
+    Jet may hold inf or nan; the jet functions refuse it.
+    """
 
     coefficients: Tuple[JetEntry, ...]
 
@@ -666,27 +674,17 @@ class Jet:
 
     @property
     def exact(self) -> bool:
-        return all(map(isinstance, self.coefficients, repeat((GaussianRational, int, Fraction))))
+        return all(map(isinstance, self.coefficients, repeat(_EXACT)))
 
     def to_json(self) -> list:
         return [
-            str(c) if isinstance(c, (int, Fraction, GaussianRational)) else numerics.jsonable(c)
+            str(c) if isinstance(c, _EXACT) else numerics.jsonable(c)
             for c in self.coefficients
         ]
 
 
-def _gaussian(values: Sequence) -> bool:
-    return any(map(isinstance, values, repeat(GaussianRational)))
-
-
-def _jet_entries(*jets: Jet) -> list:
-    """The entry lists of jets that are not all exact. ints become Fractions
-    so that division stays exact; a GaussianRational has no arithmetic, so
-    one among them turns every entry into a complex float."""
-    rows = [j.coefficients for j in jets]
-    if any(map(_gaussian, rows)):
-        return [[complex(v) for v in row] for row in rows]
-    return [[Fraction(v) if isinstance(v, int) else v for v in row] for row in rows]
+def _complex(values: Sequence) -> bool:
+    return any(map(isinstance, values, repeat((GaussianRational, complex))))
 
 
 def _require_same_length(a: Jet, b: Jet, where: str) -> None:
@@ -695,22 +693,45 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
 
 
 def _integer_rows(jet: Jet) -> Tuple[list, list, int]:
-    """(real row, imaginary row, d): an exact jet's entries as ints over their lcm d."""
+    """(real row, imaginary row, d): a jet's entries as ints over their lcm d,
+    a float or complex entry read as the binary rational it holds."""
     values, n = jet.coefficients, len(jet.coefficients)
-    if _gaussian(values):
-        values = [GaussianRational.lift(v) for v in values]
-        values = [v.re for v in values] + [v.im for v in values]
-    ratios = [v.as_integer_ratio() for v in values]
+    if _complex(values):
+        parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v.real, v.imag) for v in values]
+        values = [a for a, _ in parts] + [b for _, b in parts]
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):  # inf or nan has no rational value
+        raise ValidationError("Jet: entries must be finite") from None
+    except AttributeError:  # no as_integer_ratio, e.g. a numpy integer
+        raise ValidationError(
+            "Jet: entries must be int, Fraction, float, complex or GaussianRational"
+        ) from None
     d = math.lcm(*[q for _, q in ratios])
     numerators = [a * (d // q) for a, q in ratios]
     return numerators[:n], numerators[n:] or [0] * n, d
 
 
-def _exact_jet(re: list, im: list, d: int, gaussian: bool) -> Jet:
-    """The jet (re + i im) / d: GaussianRationals, or Fractions of re alone."""
-    if gaussian:
-        return Jet(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
-    return Jet(tuple(Fraction(a, d) for a in re))
+def _rounded(a: int, d: int) -> float:
+    """a / d correctly rounded, or +-inf where it overflows a float."""
+    try:
+        return a / d
+    except OverflowError:
+        return math.inf if (a > 0) == (d > 0) else -math.inf
+
+
+def _jet(re: list, im: list, d: int, inputs: tuple, phase: bool = False) -> Jet:
+    """The jet (re + i im) / d in the entry types of the input entries: Fractions
+    when all are exact, else floats rounded once; complex (GaussianRationals when
+    exact) for the phase functions or a complex input, else re alone."""
+    cplx = phase or _complex(inputs)
+    if all(map(isinstance, inputs, repeat(_EXACT))):
+        if cplx:
+            return Jet(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
+        return Jet(tuple(Fraction(a, d) for a in re))
+    if cplx:
+        return Jet(tuple(complex(_rounded(a, d), _rounded(b, d)) for a, b in zip(re, im)))
+    return Jet(tuple(map(_rounded, re, repeat(d))))
 
 
 @functools.cache
@@ -766,78 +787,36 @@ def _reciprocal(gr: list, gi: list, d: int) -> Tuple[list, list, int]:
 
 
 def jet_reciprocal(G: Jet) -> Jet:
-    """Derivative values of 1/G at 0 by the Leibniz recursion, over ints when exact."""
-    if G.exact:
-        return _exact_jet(*_reciprocal(*_integer_rows(G)), _gaussian(G.coefficients))
-    (g,) = _jet_entries(G)
-    if g[0] == 0:
-        raise ValidationError("jet_reciprocal: constant term must be nonzero")
-    h = [1 / g[0]]
-    for n in range(1, len(g)):
-        acc = 0
-        for k in range(1, n + 1):
-            acc = acc + math.comb(n, k) * g[k] * h[n - k]
-        h.append(-acc / g[0])
-    return Jet(tuple(h))
-
-
-def _binomial_convolution(x: Sequence, y: Sequence) -> list:
-    """out_p = sum_j C(p,j) x_j y_(p-j), p < len(x), in the entries' own arithmetic."""
-    out = []
-    for p in range(len(x)):
-        acc = 0
-        for j in range(p + 1):
-            acc = acc + math.comb(p, j) * x[j] * y[p - j]
-        out.append(acc)
-    return out
+    """Derivative values of 1/G at 0 by the Leibniz recursion."""
+    return _jet(*_reciprocal(*_integer_rows(G)), G.coefficients)
 
 
 def inversion_coeffs(c: Jet, G: Jet) -> Jet:
-    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0); exact over (Gaussian) rationals."""
+    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0)."""
     _require_same_length(c, G, "inversion_coeffs")
-    if not (c.exact and G.exact):
-        cs, gs = _jet_entries(c, G)
-        h = jet_reciprocal(Jet(tuple(gs))).coefficients
-        return Jet(tuple(_binomial_convolution(cs, h)))
     (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
-    gaussian = _gaussian(c.coefficients + G.coefficients)
-    return _exact_jet(*_convolve(xr, xi, yr, yi, False), dx * dy, gaussian)
+    return _jet(*_convolve(xr, xi, yr, yi, False), dx * dy, c.coefficients + G.coefficients)
 
 
 def forward_binomial(b: Jet, G: Jet) -> Jet:
     """c_p = sum_j C(p,j) b_j G^(p-j)(0); inverse of inversion_coeffs."""
     _require_same_length(b, G, "forward_binomial")
-    if not (b.exact and G.exact):
-        return Jet(tuple(_binomial_convolution(*_jet_entries(b, G))))
     (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
-    gaussian = _gaussian(b.coefficients + G.coefficients)
-    return _exact_jet(*_convolve(xr, xi, yr, yi, False), dx * dy, gaussian)
-
-
-def _complex_phase_convolution(x: Jet, y: Sequence) -> Jet:
-    """out_p = (-i)^p sum_j C(p,j) i^j x_j y_(p-j) over complex floats."""
-    xs = [_UNITS[j % 4] * complex(v) for j, v in enumerate(x.coefficients)]
-    raw = _binomial_convolution(xs, [complex(v) for v in y])
-    return Jet(tuple(_UNITS[-p % 4] * v for p, v in enumerate(raw)))
+    return _jet(*_convolve(xr, xi, yr, yi, False), dx * dy, b.coefficients + G.coefficients)
 
 
 def phase_inversion_coeffs(c: Jet, G: Jet) -> Jet:
     """b_p = (-i)^p sum_j C(p,j) i^j c_j (1/G)^(p-j)(0)."""
     _require_same_length(c, G, "phase_inversion_coeffs")
-    if not (c.exact and G.exact):
-        h = jet_reciprocal(Jet(tuple(complex(v) for v in G.coefficients)))
-        return _complex_phase_convolution(c, h.coefficients)
     (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
-    return _exact_jet(*_convolve(xr, xi, yr, yi, True), dx * dy, True)
+    return _jet(*_convolve(xr, xi, yr, yi, True), dx * dy, c.coefficients + G.coefficients, True)
 
 
 def phase_forward_binomial(b: Jet, G: Jet) -> Jet:
     """Inverse of phase_inversion_coeffs: recovers c from b."""
     _require_same_length(b, G, "phase_forward_binomial")
-    if not (b.exact and G.exact):
-        return _complex_phase_convolution(b, G.coefficients)
     (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
-    return _exact_jet(*_convolve(xr, xi, yr, yi, True), dx * dy, True)
+    return _jet(*_convolve(xr, xi, yr, yi, True), dx * dy, b.coefficients + G.coefficients, True)
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,11 @@ def default_admissible() -> WeightSequence:
     return make_sequence(GevreySpec(s=2.0))
 
 
-def _aux_hypotheses(A: WeightSequence, horizon: int) -> Dict[str, Verdict]:
-    return {f"A:{cond}": check_condition(A, cond, horizon=horizon) for cond in ("wlc", "nq")}
-
-
 @functools.lru_cache(maxsize=8)
 def _default_aux_hypotheses(horizon: int) -> Dict[str, Verdict]:
     # verdicts of the stock A depend only on the horizon; classify copies them
-    return _aux_hypotheses(default_admissible(), horizon)
+    A = default_admissible()
+    return {f"A:{cond}": check_condition(A, cond, horizon=horizon) for cond in ("wlc", "nq")}
 
 
 def _gate(
@@ -336,24 +333,20 @@ def _enforce_never_bijective(report: MomentMapReport) -> None:
 def classify(
     spec: Union[SequenceSpec, WeightSequence],
     horizon: int = 4096,
-    A: Optional[Union[SequenceSpec, WeightSequence]] = None,
     tol: float = 0.05,
 ) -> MomentMapReport:
     """Full report: hypotheses, four verdicts, both indices, citations.
 
     The half-line and origin mappings share their two criteria, the series
     for injectivity and the beta = 1 check for surjectivity, so each is
-    evaluated once; without A, the checks of the stock auxiliary sequence
-    run once per horizon and process. Deterministic and idempotent; the
+    evaluated once; the checks of the stock auxiliary sequence gevrey(2) run
+    once per horizon and process. Deterministic and idempotent; the
     never-bijective invariant is enforced on both mapping pairs before the
     report is returned.
     """
     seq = spec if isinstance(spec, WeightSequence) else make_sequence(spec)
-    if A is not None:
-        A = A if isinstance(A, WeightSequence) else make_sequence(A)
     hyps = {c: check_condition(seq, c, horizon=horizon) for c in ("lc", "dc", "mg", "nq")}
-    hyps.update(copy.deepcopy(_default_aux_hypotheses(horizon)) if A is None
-                else _aux_hypotheses(A, horizon))
+    hyps.update(copy.deepcopy(_default_aux_hypotheses(horizon)))
     gamma = gamma_index(seq, horizon=horizon, tol=tol)
     omega = omega_index(seq, horizon=horizon, tol=tol)
     series = classify_power_series(seq, horizon, alpha=0.5, beta=2.0)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,7 +300,8 @@ def test_gaussian_rational_eq_and_hash_agree_with_fraction():
 
 
 # Oracle for the jet functions: the textbook recurrences, one Fraction (or
-# one pair of Fractions for a complex value) at a time.
+# one pair of Fractions for a complex value) at a time. A float or complex
+# entry enters as the exact binary rational it holds.
 
 
 def _pair(v):
@@ -307,6 +309,8 @@ def _pair(v):
         return v
     if isinstance(v, GaussianRational):
         return Fraction(v.re), Fraction(v.im)
+    if isinstance(v, complex):
+        return Fraction(v.real), Fraction(v.imag)
     return Fraction(v), Fraction(0)
 
 
@@ -352,6 +356,26 @@ def _draw(rng, n, gaussian=False):
     if gaussian:
         return [GaussianRational(Fraction(one()), Fraction(one())) for _ in range(n)]
     return [one() for _ in range(n)]
+
+
+def _draw_inexact(rng, n, cplx=False):
+    def one():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0.0
+        if kind == 1:
+            return float(rng.randint(-9, 9))
+        return rng.uniform(-10.0, 10.0) * 2.0 ** rng.randint(-20, 20)
+    if cplx:
+        return [complex(one(), one()) for _ in range(n)]
+    return [one() for _ in range(n)]
+
+
+def _rounded(pairs, cplx):
+    """The oracle's values rounded once: int / int is correctly rounded."""
+    def r(f):
+        return f.numerator / f.denominator
+    return [complex(r(a), r(b)) if cplx else r(a) for a, b in pairs]
 
 
 def _assert_same(got, want):
@@ -404,6 +428,27 @@ def test_jet_functions_match_the_fraction_oracle(order):
                              gauss(_oracle_convolution(x, GG.coefficients, False)))
                 _assert_same(inversion_coeffs(Jet(tuple(x)), GG).coefficients,
                              gauss(_oracle_convolution(x, hh, False)))
+        # float and complex draws next to exact ones: every entry is the
+        # oracle's value on the same binary rationals, rounded once, a float
+        # unless the function is a phase one or an input is complex
+        Gf = Jet((float(g0),) + tuple(_draw_inexact(rng, order)))
+        Gcf = Jet((complex(float(g0), rng.uniform(-2.0, 2.0)),) + tuple(_draw_inexact(rng, order, True)))
+        for GG, inexact in ((G, False), (Gc, False), (Gf, True), (Gcf, True)):
+            hh = _oracle_reciprocal(GG.coefficients)
+            if inexact:
+                _assert_same(jet_reciprocal(GG).coefficients, _rounded(hh, GG is Gcf))
+            for x in (b, _draw_inexact(rng, n), _draw_inexact(rng, n, True)):
+                if not inexact and x is b:
+                    continue  # all exact, checked above
+                cplx = any(isinstance(v, (complex, GaussianRational)) for v in x + list(GG.coefficients))
+                _assert_same(forward_binomial(Jet(tuple(x)), GG).coefficients,
+                             _rounded(_oracle_convolution(x, GG.coefficients, False), cplx))
+                _assert_same(inversion_coeffs(Jet(tuple(x)), GG).coefficients,
+                             _rounded(_oracle_convolution(x, hh, False), cplx))
+                _assert_same(phase_forward_binomial(Jet(tuple(x)), GG).coefficients,
+                             _rounded(_oracle_convolution(x, GG.coefficients, True), True))
+                _assert_same(phase_inversion_coeffs(Jet(tuple(x)), GG).coefficients,
+                             _rounded(_oracle_convolution(x, hh, True), True))
 
 
 def test_jets_mixing_fractions_and_gaussian_rationals_give_gaussian_rationals():
@@ -467,6 +512,32 @@ def test_jet_float_path():
     assert not back.exact
     for got, want in zip(back.coefficients, b.coefficients):
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_jet_reciprocal_overflows_to_signed_infinities():
+    # 1/g0, -g1/g0^2 and 2 g1^2/g0^3 for g0 = 1e-320 all exceed the float range
+    h = jet_reciprocal(Jet((1e-320, 1.0, 0.0))).coefficients
+    assert h == (math.inf, -math.inf, math.inf)
+    assert all(type(v) is float for v in h)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_jet_functions_refuse_non_finite_entries(bad):
+    good, worse = Jet((1.0, 0.5)), Jet((1.0, bad))
+    calls = [lambda: jet_reciprocal(worse)]
+    for f in (forward_binomial, inversion_coeffs, phase_forward_binomial, phase_inversion_coeffs):
+        calls += [lambda f=f: f(good, worse), lambda f=f: f(worse, good)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="Jet: entries must be finite"):
+            call()
+    assert Jet((1.0, bad)).coefficients[1] is bad  # a Jet itself still holds it
+
+
+def test_jet_functions_refuse_entries_of_other_types():
+    # neither has as_integer_ratio; a numpy integer's own int64 arithmetic wraps
+    for bad in (np.int64(2), "1"):
+        with pytest.raises(ValidationError, match="entries must be int, Fraction"):
+            forward_binomial(Jet((bad, 1)), Jet((1.0, 0.5)))
 
 
 def test_jet_validation():
