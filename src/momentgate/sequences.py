@@ -21,6 +21,9 @@ delta-block probes of the example38 families. So gevrey, q_gevrey, example38
 and their hat/check/power derivations carry a closed log m that answers
 every index the search reaches (up to its cap 2^60, and up to k_8 for the
 block probes); those built on gevrey or q_gevrey carry a closed log M too.
+Those built on gevrey alone also carry their power law: the e with
+log m_p = e log(p+1) at every p, which omega_evaluator's closed-form Poisson
+points read.
 An explicit spec or a dc_minorant is never certified (lc) nor a delta-block
 family, so it is built from its increments alone, and its quotients stop at
 the cumulative limit. Without (lc), omega_evaluator searches the isotonic
@@ -309,6 +312,7 @@ class WeightSequence:
         metadata: dict[str, bool],
         name: str,
         closed_M: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        power_exponent: Optional[float] = None,
     ):
         self.spec = spec
         self.name = name
@@ -320,6 +324,9 @@ class WeightSequence:
         # object past it); None where the family has no closed form
         self._closed_m = closed_m
         self._closed_M = closed_M
+        # e with log m_p = e * log(p+1) at every p, or None: the power law
+        # that omega_evaluator's closed-form Poisson points read
+        self.power_exponent = power_exponent
         # prefix[p] = log M_p, grown in chunks whose sums keep the bits of a
         # term-by-term loop and never past the length callers asked for, so
         # values depend neither on the order nor on the granularity of
@@ -507,6 +514,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
             {"lc": True, "mg": True, "snq": True},
             f"gevrey({s:g})",
             closed_M=lambda p: s * _mapped(math.lgamma, p + 1),
+            power_exponent=s,
         )
 
     if isinstance(spec, QGevreySpec):
@@ -616,7 +624,8 @@ def _derive_fresh(seq: WeightSequence, op: str, s: Optional[float]) -> WeightSeq
 
 def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
     """The derived sequence for a _DERIVATIONS op: log m'_p = scale * log m_p
-    + shift * log(p+1) and log M'_p = scale * log M_p + shift * log p!.
+    + shift * log(p+1) and log M'_p = scale * log M_p + shift * log p!, so a
+    power law e becomes scale * e + shift.
 
     The increments read the base's stored quotients; the closed forms compose
     the base's, and are None where it has none. hat/check only shift and
@@ -647,9 +656,13 @@ def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence
     else:
         closed_m = f_m and (lambda p: scale * f_m(p))
         closed_M = f_M and (lambda p: scale * f_M(p))
+    e = base.power_exponent
     meta = {cond: True for cond in rule.keeps_true if base.certifies(cond)}
     meta.update({cond: False for cond in rule.keeps_false if base.refutes(cond)})
-    return WeightSequence(DerivedSpec(op, base.spec, s), inc_array, closed_m, meta, name, closed_M)
+    return WeightSequence(
+        DerivedSpec(op, base.spec, s), inc_array, closed_m, meta, name, closed_M,
+        power_exponent=None if e is None else scale * e + shift,
+    )
 
 
 def dc_minorant(base: WeightSequence) -> WeightSequence:

@@ -8,6 +8,16 @@ with decay e^(-omega) along the shifted half-plane: log |G(z)| = -4 P(z + i).
 Only the modulus is ever needed downstream, so the harmonic conjugate is
 deliberately not computed.
 
+For a power-law weight (log m_j = e log(j+1) with e > 1) the Poisson and G
+points take a closed form instead. With M_0 = 1 and M log-convex, omega_M(t)
+is the sum over j of (log t - log m_j)_+, and the Poisson integral of each
+term is a sum of two dilogarithm imaginary parts (Koosis, The Logarithmic
+Integral I, 1988; Lewin, Polylogarithms and Associated Functions, 1981):
+scipy's spence for the few j with m_j below 4 scale |z|, and one
+Hurwitz-zeta power series for all the others. poisson_transform itself stays
+the quadrature below, for every weight, and so is the closed form's
+cross-check.
+
 Quadrature is adaptive around the kernel peak with doubling shells outward,
 integrated several at a time, the center panel together with the first
 shells, by G7/K15 panels on whole node arrays from which converged intervals
@@ -20,6 +30,7 @@ crossover that of a plain gallop-and-bisect search.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -184,6 +195,13 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
     Values read the prefix wherever it is materialized and the closed form
     past it, so they depend on earlier calls: any change that grows
     `len(seq._prefix)` past what callers asked for moves the bits of gfun.
+
+    A sequence with a power law e > 1 (seq.power_exponent: gevrey(s) and its
+    hat/check/power derivations) also gets `poisson(z)`, the PoissonResult of
+    this weight at z in closed form (_power_law_poisson), which
+    verify_poisson_lower_bound and the G checks read in place of the
+    quadrature. It neither reads nor grows the prefix. For e <= 1 the sum of
+    1/m_j diverges, and so does the Poisson integral.
     """
     if not (scale > 0) or not math.isfinite(scale):
         raise ValidationError("omega_evaluator: scale must be a finite number > 0")
@@ -258,6 +276,9 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
         return float(many(np.array([t]))[0])
 
     omega.many = many
+    e = seq.power_exponent
+    if e is not None and e > 1:
+        omega.poisson = lambda z: _power_law_poisson(e, scale, z)
     return omega
 
 
@@ -269,7 +290,9 @@ def omega_evaluator(seq: WeightSequence, scale: float = 1.0) -> Callable[[float]
 @dataclass(frozen=True)
 class PoissonResult:
     """Value of (y/pi) * integral of omega(t) / ((t-x)^2 + y^2) with an
-    absolute error estimate (quadrature error plus truncated-tail bound)."""
+    absolute error estimate (quadrature error plus truncated-tail bound), the
+    radius the shells reached and their count; a closed-form point has
+    radius inf and no shells."""
 
     value: float
     abs_error: float
@@ -438,7 +461,9 @@ def poisson_transform(
 
     A weight with a `many(ts)` method (omega_evaluator's has one) is
     evaluated on whole node arrays; a plain scalar callable is mapped over
-    them.
+    them. Every weight takes this quadrature, a power-law evaluator with a
+    closed-form `poisson` too, so it is the cross-check of that closed form:
+    the two agree within their abs_errors.
     """
     pt = as_half_plane_point(z, 0.0, "poisson_transform")
     if not (tol > 0):
@@ -506,6 +531,63 @@ def poisson_transform(
     return PoissonResult(total, err + tail_bound, r, shells)
 
 
+# odd powers k = 1, 3, ..., _FAR_ORDER of the far series, most near terms
+# (spence calls) a closed-form point takes, and the allowance for the
+# rounding of Im Li2 and the sums per unit of the summed |Li2| (scipy's
+# complex spence errs by up to about 32 eps of |Li2| in its imaginary part)
+_FAR_ORDER = 41
+_MAX_NEAR = 2**16
+_ROUNDING = 128.0 * np.finfo(float).eps
+_special = None
+
+
+def _power_law_poisson(e: float, scale: float, z) -> PoissonResult:
+    """P[omega(scale |t|)](z) for log m_j = e log(j+1), e > 1, in closed form.
+
+    With M_0 = 1 (every prefix starts at +0.0) and M log-convex, omega_M(t)
+    = sum over j of (log t - log m_j)_+. The Poisson integral of
+    (log |t| - log R)_+ is (1/pi) [Im Li2(z/R) + Im Li2(-conj(z)/R)]
+    (substitute u = R/t on each half-line), and every such term is
+    positive. So with w = scale z and R_j = (j+1)^e,
+
+        P = (1/pi) sum_{j<J} [Im Li2(w/R_j) + Im Li2(-conj(w)/R_j)]
+            + (2/pi) sum_{odd k} Im(w^k)/k^2 zeta(e k, J+1),
+
+    where J counts the j with R_j < 4|w|, Li2(v) = spence(1 - v), and the
+    second line is the power series of Li2 summed over j >= J in closed
+    form (the Hurwitz zeta; even k cancel between the two terms). Every far
+    ratio |w|/R_j is at most 1/4, so the odd powers past _FAR_ORDER shrink by
+    at least 1/16 each, and their sum is at most 16/15 of the first of them.
+    abs_error is that bound plus the rounding allowance. scipy.special is
+    imported on the first call. EvaluationError where the point needs more
+    than _MAX_NEAR near terms or the far series leaves the float range.
+    """
+    global _special
+    pt = as_half_plane_point(z, 0.0, "poisson")
+    w = scale * complex(pt.x, pt.y)
+    reach = 4.0 * abs(w)
+    near = reach ** (1.0 / e)  # about J
+    if not near <= _MAX_NEAR:
+        raise EvaluationError(f"closed-form Poisson point at |w| = {abs(w):g} needs over {_MAX_NEAR} near terms")
+    if _special is None:
+        from scipy import special as _special
+    R = np.arange(1.0, math.ceil(near) + 2.0) ** e  # reaches past the last near term
+    R = R[R < reach]
+    li2 = _special.spence(1.0 - np.concatenate((w / R, -w.conjugate() / R)))
+    k = np.arange(1, _FAR_ORDER + 3, 2)
+    zeta = _special.zeta(e * k, R.size + 1.0)
+    # an overflow to inf is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = abs(w) ** k * zeta / (k * k)  # each bounds |Im(w^k)| zeta / k^2
+        far = np.power(w, k[:-1]).imag * zeta[:-1] / (k[:-1] * k[:-1])
+    value = (li2.imag.sum() + 2.0 * far.sum()) / math.pi
+    rounding = _ROUNDING * (np.abs(li2).sum() + 2.0 * sizes[:-1].sum())
+    abs_error = (2.0 * 16.0 / 15.0 * sizes[-1] + rounding) / math.pi
+    if not (math.isfinite(value) and math.isfinite(abs_error) and zeta[-1] >= np.finfo(float).tiny):
+        raise EvaluationError(f"closed-form Poisson series leaves the float range at |w| = {abs(w):g}")
+    return PoissonResult(float(value), float(abs_error), math.inf, 0)
+
+
 # ---------------------------------------------------------------------------
 # outer-function modulus
 # ---------------------------------------------------------------------------
@@ -523,14 +605,31 @@ def require_admissible(A: WeightSequence) -> None:
             )
 
 
+def _poisson_point(omega: Callable[[float], float], pt: HalfPlanePoint, tol: float) -> PoissonResult:
+    """omega's closed-form Poisson point where it has one that reaches pt,
+    else poisson_transform's quadrature to tol."""
+    closed = getattr(omega, "poisson", None)
+    if closed is not None:
+        try:
+            return closed(pt)
+        except EvaluationError:
+            pass
+    return poisson_transform(omega, pt, tol=tol)
+
+
 def _log_modulus(omega: Callable[[float], float], pt: HalfPlanePoint, tol: float) -> float:
     shifted = HalfPlanePoint(pt.x, pt.y + 1.0)
-    return -4.0 * poisson_transform(omega, shifted, tol=tol).value
+    return -4.0 * _poisson_point(omega, shifted, tol).value
 
 
+@functools.lru_cache(maxsize=8)
 def _g_omegas(A: WeightSequence) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """t -> omega_{hat A}(2 |t|), which G's Poisson integral reads, and
-    t -> omega_{hat A}(|t|), for an auxiliary A that satisfies (wlc) and (nq)."""
+    t -> omega_{hat A}(|t|), for an auxiliary A that satisfies (wlc) and (nq).
+
+    One context per sequence object: the admissibility checks run and the
+    evaluators are built on the first call only. A raise is not cached, so a
+    non-admissible A raises on every call."""
     require_admissible(A)
     A_hat = derive(A, "hat")
     return omega_evaluator(A_hat, scale=2.0), omega_evaluator(A_hat, scale=1.0)
@@ -571,7 +670,9 @@ def verify_g_decay(
 ) -> GridCheckReport:
     """Check sup over the grid of log |G(z)| + omega_{hat A}(|z|) <= omega_{hat A}(2) + tol.
 
-    A failed bound produces a failed report, not an exception.
+    log |G| takes the closed form where hat A has a power law e > 1, else
+    the quadrature to quad_tol. A failed bound produces a failed report, not
+    an exception.
     """
     omega_doubled, omega_plain = _g_omegas(A)
     points = [as_half_plane_point(z, -1.0, "verify_g_decay") for z in grid]
@@ -598,14 +699,16 @@ def verify_poisson_lower_bound(
 ) -> GridCheckReport:
     """Check P_omega(z) >= omega(|z|) / 4 over a grid of upper half-plane
     points: the Poisson kernel keeps at least a quarter of its mass where
-    |t| >= |z|, and the weight is even and nondecreasing there."""
+    |t| >= |z|, and the weight is even and nondecreasing there. P is omega's
+    closed form where it has one (omega_evaluator's `poisson`), else the
+    quadrature to quad_tol."""
     points = [as_half_plane_point(z, 0.0, "verify_poisson_lower_bound") for z in grid]
     if not points:
         raise ValidationError("verify_poisson_lower_bound: grid must be nonempty")
     rows = []
     worst = math.inf
     for pt in points:
-        value = poisson_transform(omega, pt, tol=quad_tol).value
+        value = _poisson_point(omega, pt, quad_tol).value
         floor = omega(abs(pt)) / 4.0
         slack = value - floor
         worst = min(worst, slack)

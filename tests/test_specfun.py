@@ -29,6 +29,7 @@ from momentgate import (
     verify_poisson_lower_bound,
 )
 from momentgate import special_functions
+from momentgate.conditions import check_condition
 from momentgate.numerics import log_array
 from momentgate.sequences import BIG_INDEX_LIMIT
 from momentgate.special_functions import _crossings, _integrate
@@ -548,7 +549,10 @@ def test_log_array_is_math_log_on_the_nodes_of_a_poisson_and_a_g_point(monkeypat
     poisson_transform(omega_evaluator(A_hat), complex(-10.0, 0.5), tol=1e-7)
     poisson_nodes = np.concatenate(nodes)
     nodes.clear()
-    g_log_modulus(make_sequence(GevreySpec(s=2.0)), complex(3.0, 1.0))
+    # the quadrature of a G point: g_log_modulus itself takes the closed form
+    z = complex(3.0, 1.0)
+    omega_doubled = omega_evaluator(derive(make_sequence(GevreySpec(s=2.0)), "hat"), scale=2.0)
+    poisson_transform(omega_doubled, z + 1j)
     for u in (poisson_nodes, np.concatenate(nodes)):
         assert u.size > 10_000
         want = np.fromiter(map(math.log, u.tolist()), float, count=u.size)
@@ -622,6 +626,118 @@ def test_poisson_truncation_does_not_depend_on_batch_size(monkeypatch):
             assert (res.shells, res.radius) == pinned, limit
     # the unevaluable weight came up in multi-shell batches of several sizes
     assert len({k for k in batch_sizes if k > 1}) >= 3
+
+
+def test_power_exponent_follows_the_derivations():
+    g2 = make_sequence(GevreySpec(s=2.0))
+    assert g2.power_exponent == 2.0
+    assert derive(g2, "hat").power_exponent == 3.0
+    assert derive(g2, "check").power_exponent == 1.0
+    assert derive(g2, "power", 1.5).power_exponent == 3.0
+    nested = DerivedSpec("power", DerivedSpec("hat", GevreySpec(s=0.5)), 3.0)
+    assert make_sequence(nested).power_exponent == 4.5  # (0.5 + 1) * 3
+    for spec in (
+        QGevreySpec(q=2.0),
+        Example38Spec(),
+        ExplicitSpec((0.0, 0.5), "power", 2.0),
+        DerivedSpec("dc_minorant", GevreySpec(s=2.0)),
+        DerivedSpec("hat", Example38Spec()),
+    ):
+        assert make_sequence(spec).power_exponent is None, spec
+
+
+# P[omega_{hat gevrey(2)}](z) from scipy quad (epsrel 1e-13) on every piece
+# [p^3, (p+1)^3] with p < 20 000, then 60 doubling blocks past 20 000^3
+CLOSED_REFERENCES = (
+    (complex(-10.0, 0.5), 2.591297019719428),
+    (complex(-1.8367346938775508, 3.357142857142857), 1.9186956886000472),
+)
+
+
+def test_closed_form_poisson_matches_kink_split_references():
+    seq = derive(make_sequence(GevreySpec(s=2.0)), "hat")
+    omega = omega_evaluator(seq)
+    for z, want in CLOSED_REFERENCES:
+        res = omega.poisson(z)
+        assert res.value == pytest.approx(want, rel=1e-12), z
+        assert 0 < res.abs_error <= 1e-12 * abs(res.value), z
+        assert (res.radius, res.shells) == (math.inf, 0)
+    assert len(seq._prefix) == 1  # neither read nor grown
+
+
+def test_closed_form_poisson_is_within_the_quadrature_error_of_every_quad_pin():
+    evaluators = {}
+    for s, scale, z, _, _, _, value_bits, error_bits in QUAD_PINS:
+        if (s, scale) not in evaluators:
+            A_hat = derive(make_sequence(GevreySpec(s=s)), "hat")
+            evaluators[s, scale] = omega_evaluator(A_hat, scale=scale)
+        closed = evaluators[s, scale].poisson(z)
+        gap = abs(closed.value - float.fromhex(value_bits))
+        assert gap <= closed.abs_error + float.fromhex(error_bits), (s, scale, z)
+
+
+def test_closed_form_poisson_only_for_power_laws_past_one():
+    for spec in (
+        GevreySpec(s=1.0),  # e = 1: the sum of 1/m_j diverges
+        QGevreySpec(q=2.0),
+        Example38Spec(),
+        ExplicitSpec((0.0, 0.5), "power", 2.0),
+        DerivedSpec("dc_minorant", GevreySpec(s=2.0)),
+    ):
+        assert not hasattr(omega_evaluator(make_sequence(spec)), "poisson"), spec
+    # so gevrey(1) keeps the quadrature, which cannot close its tail
+    omega = omega_evaluator(make_sequence(GevreySpec(s=1.0)))
+    with pytest.raises(QuadratureError):
+        verify_poisson_lower_bound(omega, [complex(1.0, 1.0)], quad_tol=1e-7)
+
+
+def test_closed_form_poisson_falls_back_to_the_quadrature_out_of_reach(monkeypatch):
+    # e = 1.05: |w| = 1e5 needs some 2e5 near terms
+    far = omega_evaluator(derive(make_sequence(GevreySpec(s=1.0)), "power", 1.05))
+    with pytest.raises(EvaluationError, match="near terms"):
+        far.poisson(1e5j)
+    monkeypatch.setattr(special_functions, "_MAX_NEAR", 2)
+    omega = omega_evaluator(derive(make_sequence(GevreySpec(s=2.0)), "hat"))
+    z = complex(-10.0, 0.5)  # J = 3 near terms
+    rep = verify_poisson_lower_bound(omega, [z], quad_tol=1e-7)
+    assert rep.rows[0][2] == poisson_transform(omega, z, tol=1e-7).value
+
+
+def test_closed_form_poisson_imports_scipy_special_on_first_call():
+    probe = (
+        "import sys\n"
+        "from momentgate import GevreySpec, derive, make_sequence, omega_evaluator\n"
+        "omega = omega_evaluator(derive(make_sequence(GevreySpec(s=2.0)), 'hat'))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "omega.poisson(1j)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(special_functions.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_g_context_is_built_once_per_sequence(monkeypatch):
+    calls = []
+
+    def counting(seq, cond, horizon):
+        calls.append(cond)
+        return check_condition(seq, cond, horizon=horizon)
+
+    monkeypatch.setattr(special_functions, "check_condition", counting)
+    A = make_sequence(GevreySpec(s=2.0))
+    first = verify_g_decay(A, [complex(3.0, 1.0)])
+    assert calls == ["wlc", "nq"]
+    assert verify_g_decay(A, [complex(3.0, 1.0)]) == first
+    verify_g_window_bound(A, [1.5])
+    assert calls == ["wlc", "nq"]
+    ones = make_sequence(ExplicitSpec(log_m=(0.0,), tail_rule="arithmetic", tail_value=0.0))
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValidationError):
+            verify_g_decay(ones, [0j])
+    assert calls == ["wlc", "nq"] * 3  # M = 1 is (wlc) but fails (nq)
 
 
 def test_derive_returns_one_object_per_op():
