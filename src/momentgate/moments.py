@@ -3,12 +3,14 @@ jet inversion.
 
 Test functions are plain evaluators carrying a decay declaration; the
 quadrature routines refuse work the declaration cannot support. Every jet
-runs as a real and an imaginary row of integers over one common denominator:
-int, Fraction and GaussianRational entries as they are, a float or complex
-entry as the binary rational it holds (inf and nan are refused). A result
-from exact entries stays exact; any other is rounded once, entry by entry,
-to the nearest float. GaussianRational is only the entry type of exact
-complex results and has no arithmetic.
+runs as a real and an imaginary row of integers over one positive common
+denominator: int, Fraction and GaussianRational entries as they are, a float
+or complex entry as the binary rational it holds (inf and nan are refused).
+A result from exact entries stays exact and keeps its reduced rows, building
+its entries only when they are read; any other is rounded once, entry by
+entry, to the nearest float. Inversion is a triangular solve against G, and
+the phase functions are the plain ones against (-i)^k G_k. GaussianRational
+is only the entry type of exact complex results and has no arithmetic.
 """
 
 from __future__ import annotations
@@ -658,8 +660,13 @@ class Jet:
 
     The jet functions read every entry exactly, a float or complex one as the
     binary rational it holds, and give Fractions (GaussianRationals when
-    complex) from exact entries and floats rounded once from any others. A
-    Jet may hold inf or nan; the jet functions refuse it.
+    complex) from exact entries and floats rounded once from any others; an
+    exact 0 rounds to +0.0. A Jet may hold inf or nan; the jet functions
+    refuse it.
+
+    An exact result carries its reduced integer rows, which the next jet
+    function reads as they are, and builds its entries on the first read of
+    coefficients (==, hash, repr, to_json and exact all read them).
     """
 
     coefficients: Tuple[JetEntry, ...]
@@ -668,9 +675,23 @@ class Jet:
         if not self.coefficients:
             raise ValidationError("Jet: needs at least the constant term")
 
+    def __getattr__(self, name):
+        # reached only for the coefficients of an exact result not yet read
+        rows = self.__dict__.get("_rows") if name == "coefficients" else None
+        if rows is None:
+            raise AttributeError(f"'Jet' object has no attribute {name!r}")
+        re, im, d, _, cplx = rows
+        values = tuple(map(Fraction, re, repeat(d)))
+        if cplx:
+            ims = map(Fraction, im, repeat(d)) if im else repeat(Fraction(0))
+            values = tuple(map(GaussianRational, values, ims))
+        object.__setattr__(self, "coefficients", values)
+        return values
+
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        rows = self.__dict__.get("_rows")
+        return len(rows[0] if rows else self.coefficients) - 1
 
     @property
     def exact(self) -> bool:
@@ -692,15 +713,24 @@ def _require_same_length(a: Jet, b: Jet, where: str) -> None:
         raise ValidationError(f"{where}: jets must have equal length")
 
 
-def _integer_rows(jet: Jet) -> Tuple[list, list, int]:
-    """(real row, imaginary row, d): a jet's entries as ints over their lcm d,
-    a float or complex entry read as the binary rational it holds."""
-    values, n = jet.coefficients, len(jet.coefficients)
-    if _complex(values):
-        parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v.real, v.imag) for v in values]
-        values = [a for a, _ in parts] + [b for _, b in parts]
+def _integer_rows(jet: Jet) -> tuple:
+    """(re, im, d, exact, cplx): a jet's entries as a real and an imaginary row of
+    ints over their lcm d > 0 (im None when all zero), a float or complex entry
+    read as the binary rational it holds, and whether every entry is exact and
+    whether any is complex. Read once per Jet: an exact result carries them,
+    and a Jet built on a tuple keeps them."""
+    rows = jet.__dict__.get("_rows")
+    if rows is not None:
+        return rows
+    values = jet.coefficients
+    n, cplx = len(values), _complex(values)
+    exact = all(map(isinstance, values, repeat(_EXACT)))
+    parts = values
+    if cplx:
+        pairs = [(v.re, v.im) if isinstance(v, GaussianRational) else (v.real, v.imag) for v in values]
+        parts = [a for a, _ in pairs] + [b for _, b in pairs]
     try:
-        ratios = [v.as_integer_ratio() for v in values]
+        ratios = [v.as_integer_ratio() for v in parts]
     except (OverflowError, ValueError):  # inf or nan has no rational value
         raise ValidationError("Jet: entries must be finite") from None
     except AttributeError:  # no as_integer_ratio, e.g. a numpy integer
@@ -709,28 +739,36 @@ def _integer_rows(jet: Jet) -> Tuple[list, list, int]:
         ) from None
     d = math.lcm(*[q for _, q in ratios])
     numerators = [a * (d // q) for a, q in ratios]
-    return numerators[:n], numerators[n:] or [0] * n, d
+    im = numerators[n:]
+    rows = (numerators[:n], im if any(im) else None, d, exact, cplx)
+    if isinstance(values, tuple):  # a list could change under the kept rows
+        object.__setattr__(jet, "_rows", rows)
+    return rows
 
 
 def _rounded(a: int, d: int) -> float:
-    """a / d correctly rounded, or +-inf where it overflows a float."""
+    """a / d for d > 0 correctly rounded, or +-inf where it overflows a float."""
     try:
         return a / d
     except OverflowError:
-        return math.inf if (a > 0) == (d > 0) else -math.inf
+        return math.inf if a > 0 else -math.inf
 
 
-def _jet(re: list, im: list, d: int, inputs: tuple, phase: bool = False) -> Jet:
-    """The jet (re + i im) / d in the entry types of the input entries: Fractions
-    when all are exact, else floats rounded once; complex (GaussianRationals when
-    exact) for the phase functions or a complex input, else re alone."""
-    cplx = phase or _complex(inputs)
-    if all(map(isinstance, inputs, repeat(_EXACT))):
-        if cplx:
-            return Jet(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)))
-        return Jet(tuple(Fraction(a, d) for a in re))
+def _jet(re: list, im: list, d: int, exact: bool, cplx: bool) -> Jet:
+    """The jet (re + i im) / d, d > 0: an exact one keeps its rows, reduced by one
+    gcd, and builds its entries when read; any other is rounded once now, to
+    complex entries when cplx."""
+    im = im if any(im) else None
+    if exact:
+        g = math.gcd(d, *re, *(im or ()))
+        if g > 1:
+            re, d = [a // g for a in re], d // g
+            im = im and [b // g for b in im]
+        jet = Jet.__new__(Jet)
+        object.__setattr__(jet, "_rows", (re, im, d, True, cplx))
+        return jet
     if cplx:
-        return Jet(tuple(complex(_rounded(a, d), _rounded(b, d)) for a, b in zip(re, im)))
+        return Jet(tuple(complex(_rounded(a, d), _rounded(b, d)) for a, b in zip(re, im or repeat(0))))
     return Jet(tuple(map(_rounded, re, repeat(d))))
 
 
@@ -740,83 +778,121 @@ def _binomial_rows(n: int) -> tuple:
     return tuple(tuple(math.comb(p, j) for j in range(p + 1)) for p in range(n))
 
 
-def _convolve(xr: list, xi: list, yr: list, yi: list, phase: bool) -> Tuple[list, list]:
-    """Rows (re, im) of out_p = sum_j C(p,j) x_j y_(p-j) for x = xr + i xi and
-    y = yr + i yi, summed over ints; with phase, out_p = (-i)^p sum_j C(p,j) i^j
-    x_j y_(p-j), whose twists are swaps and sign changes of integer pairs. Without
-    phase, a real x and y take one pass per output; otherwise each output's real
-    and imaginary sums share a pass, and the cross sums run only for a nonzero yi."""
-    rows = _binomial_rows(len(xr))
-    if phase:
-        pairs = list(enumerate(zip(xr, xi)))
-        xr = [(a, -b, -a, b)[j % 4] for j, (a, b) in pairs]
-        xi = [(b, a, -b, -a)[j % 4] for j, (a, b) in pairs]
-    elif not (any(xi) or any(yi)):
-        return [sum(map(mul, map(mul, r, xr), yr[p::-1])) for p, r in enumerate(rows)], xi
-    cross, re, im = any(yi), [], []
-    for p, row in enumerate(rows):
-        cy = list(map(mul, row, yr[p::-1]))
-        r, i = sum(map(mul, cy, xr)), sum(map(mul, cy, xi))
-        if cross:
-            cy = list(map(mul, row, yi[p::-1]))
-            r, i = r - sum(map(mul, cy, xi)), i + sum(map(mul, cy, xr))
-        if phase:
-            r, i = ((r, i), (i, -r), (-r, -i), (-i, r))[p % 4]
-        re.append(r)
-        im.append(i)
+def _operand(gr: list, gi: Optional[list], twist: bool) -> tuple:
+    """(yr, yi, ys) for the second operand y = G, or G~_k = (-i)^k G_k when twist
+    (the phase functions are the plain ones on G~). yi is None for a real y.
+    For a y real at even k and imaginary at odd k, as G~ is for a real G, ys
+    holds yr at even k and yi at odd k (sigma_k G_k for G~, sigma = (1, -1, -1,
+    1)[k mod 4]); otherwise ys is None."""
+    if twist:
+        pairs = list(enumerate(zip(gr, gi or repeat(0))))
+        gr = [(a, b, -a, -b)[k % 4] for k, (a, b) in pairs]
+        gi = [(b, -a, -b, a)[k % 4] for k, (a, b) in pairs]
+        gi = gi if any(gi) else None
+    if gi is None or any(gr[1::2]) or any(gi[::2]):
+        return gr, gi, None
+    ys = list(gr)
+    ys[1::2] = gi[1::2]
+    return gr, gi, ys
+
+
+def _products(row: tuple, p: int, xr: list, xi: Optional[list], y: tuple) -> Tuple[int, int]:
+    """(re, im) of sum_j row[j] x_j y_(p-j) over the j < len(xr), for x = xr + i xi
+    (xi None when real) and y from _operand. On a y with ys, each product
+    row[j] ys_(p-j) x_j is taken once and goes to the real or the imaginary sum
+    by the parity of p - j."""
+    yr, yi, ys = y
+    if ys is not None:
+        cy = list(map(mul, row, ys[p::-1]))
+        t = list(map(mul, cy, xr))
+        even, odd = p & 1, 1 - (p & 1)  # first j with p - j even, odd
+        re, im = sum(t[even::2]), sum(t[odd::2])
+        if xi is not None:
+            t = list(map(mul, cy, xi))
+            re, im = re - sum(t[odd::2]), im + sum(t[even::2])
+        return re, im
+    if yi is None and xi is None:
+        return sum(map(mul, map(mul, row, yr[p::-1]), xr)), 0
+    cy = list(map(mul, row, yr[p::-1]))
+    re, im = sum(map(mul, cy, xr)), 0 if xi is None else sum(map(mul, cy, xi))
+    if yi is not None:
+        cy = list(map(mul, row, yi[p::-1]))
+        im += sum(map(mul, cy, xr))
+        if xi is not None:
+            re -= sum(map(mul, cy, xi))
     return re, im
 
 
-def _reciprocal(gr: list, gi: list, d: int) -> Tuple[list, list, int]:
-    """Rows and denominator of 1/G, G = (gr + i gi)/d of order P. A real G runs
-    H_0 = 1, H_n = -sum_{k=1..n} C(n,k) g_k g_0^(k-1) H_(n-k) (Leibniz) over ints
-    and gives numerators d H_n g_0^(P-n) over g_0^(P+1); a complex G is
-    conj(G) / (G conj(G)), whose G conj(G) has an all-zero imaginary row."""
-    if any(gi):
-        conj = [-v for v in gi]
-        hr, hi, dh = _reciprocal(*_convolve(gr, gi, gr, conj, False), d * d)
-        return (*_convolve(gr, conj, hr, hi, False), d * dh)
-    if gr[0] == 0:
+def _convolve(xr: list, xi: Optional[list], y: tuple) -> Tuple[list, list]:
+    """Rows (re, im) of out_p = sum_j C(p,j) x_j y_(p-j), summed over ints."""
+    out = [_products(row, p, xr, xi, y) for p, row in enumerate(_binomial_rows(len(xr)))]
+    return [a for a, _ in out], [b for _, b in out]
+
+
+def _solve(xr: list, xi: Optional[list], dx: int, y: tuple, dy: int) -> tuple:
+    """Rows and denominator of b with sum_j C(p,j) b_j Y_(p-j) = c_p for
+    c = (xr + i xi)/dx and Y = y/dy: the triangular solve
+    b_p = (c_p - sum_{j<p} C(p,j) b_j Y_(p-j)) / Y_0 over ints. The rows of
+    b_0..b_p stay over the least common denominator e of those entries, so a
+    result with small denominators keeps small integers throughout."""
+    yr, yi, _ = y
+    y0r, y0i = yr[0], yi[0] if yi else 0
+    if not (y0r or y0i):
         raise ValidationError("jet_reciprocal: constant term must be nonzero")
-    powers = [gr[0] ** k for k in range(len(gr) + 1)]
-    gp = list(map(mul, gr[1:], powers))  # g_k g_0^(k-1) for k >= 1
-    hs = [1]
-    for row in _binomial_rows(len(gr))[1:]:
-        hs.append(-sum(map(mul, map(mul, row[1:], gp), hs[::-1])))
-    return [d * h * p for h, p in zip(hs, powers[-2::-1])], gi, powers[-1]
+    # b_p = t / (e dx Y_0) = t conj(y0) / (e dx |y0|^2) for t = x_p e dy - s dx
+    dn = dx * (y0r * y0r + y0i * y0i if y0i else y0r)
+    br, bi, e, edy = [], [], 1, dy
+    cplx = False  # whether some b_j so far has a nonzero imaginary part
+    for p, row in enumerate(_binomial_rows(len(xr))):
+        sr, si = _products(row, p, br, bi if cplx else None, y)
+        tr, ti = xr[p] * edy - sr * dx, (xi[p] * edy if xi else 0) - si * dx
+        if y0i:
+            tr, ti = tr * y0r + ti * y0i, ti * y0r - tr * y0i
+        # e grows by the least f that makes f t / dn integral
+        f = abs(dn) // math.gcd(tr, ti, dn)
+        if f > 1:
+            br, bi, e, edy = [v * f for v in br], [v * f for v in bi], e * f, edy * f
+            tr, ti = tr * f, ti * f
+        br.append(tr // dn)
+        bi.append(ti // dn)
+        cplx = cplx or ti != 0
+    return br, bi, e
 
 
 def jet_reciprocal(G: Jet) -> Jet:
-    """Derivative values of 1/G at 0 by the Leibniz recursion."""
-    return _jet(*_reciprocal(*_integer_rows(G)), G.coefficients)
+    """Derivative values of 1/G at 0: the inversion of the unit jet (1, 0, ..., 0)."""
+    gr, gi, dg, exact, cplx = _integer_rows(G)
+    return _jet(*_solve([1] + [0] * (len(gr) - 1), None, 1, _operand(gr, gi, False), dg), exact, cplx)
+
+
+def _apply(c: Jet, G: Jet, where: str, inverse: bool, twist: bool) -> Jet:
+    _require_same_length(c, G, where)
+    (xr, xi, dx, x_exact, x_cplx), (gr, gi, dg, g_exact, g_cplx) = _integer_rows(c), _integer_rows(G)
+    y = _operand(gr, gi, twist)
+    rows = _solve(xr, xi, dx, y, dg) if inverse else (*_convolve(xr, xi, y), dx * dg)
+    return _jet(*rows, x_exact and g_exact, twist or x_cplx or g_cplx)
 
 
 def inversion_coeffs(c: Jet, G: Jet) -> Jet:
-    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0)."""
-    _require_same_length(c, G, "inversion_coeffs")
-    (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
-    return _jet(*_convolve(xr, xi, yr, yi, False), dx * dy, c.coefficients + G.coefficients)
+    """b_p = sum_j C(p,j) c_j (1/G)^(p-j)(0), by the triangular solve of
+    forward_binomial(b, G) = c."""
+    return _apply(c, G, "inversion_coeffs", True, False)
 
 
 def forward_binomial(b: Jet, G: Jet) -> Jet:
     """c_p = sum_j C(p,j) b_j G^(p-j)(0); inverse of inversion_coeffs."""
-    _require_same_length(b, G, "forward_binomial")
-    (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
-    return _jet(*_convolve(xr, xi, yr, yi, False), dx * dy, b.coefficients + G.coefficients)
+    return _apply(b, G, "forward_binomial", False, False)
 
 
 def phase_inversion_coeffs(c: Jet, G: Jet) -> Jet:
-    """b_p = (-i)^p sum_j C(p,j) i^j c_j (1/G)^(p-j)(0)."""
-    _require_same_length(c, G, "phase_inversion_coeffs")
-    (xr, xi, dx), (yr, yi, dy) = _integer_rows(c), _reciprocal(*_integer_rows(G))
-    return _jet(*_convolve(xr, xi, yr, yi, True), dx * dy, c.coefficients + G.coefficients, True)
+    """b_p = (-i)^p sum_j C(p,j) i^j c_j (1/G)^(p-j)(0): inversion_coeffs against
+    G~_k = (-i)^k G_k, since (-i)^p i^j = (-i)^(p-j) and 1/G~ is the twist of 1/G."""
+    return _apply(c, G, "phase_inversion_coeffs", True, True)
 
 
 def phase_forward_binomial(b: Jet, G: Jet) -> Jet:
-    """Inverse of phase_inversion_coeffs: recovers c from b."""
-    _require_same_length(b, G, "phase_forward_binomial")
-    (xr, xi, dx), (yr, yi, dy) = _integer_rows(b), _integer_rows(G)
-    return _jet(*_convolve(xr, xi, yr, yi, True), dx * dy, b.coefficients + G.coefficients, True)
+    """Inverse of phase_inversion_coeffs: forward_binomial against G~."""
+    return _apply(b, G, "phase_forward_binomial", False, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Moment quadrature, growth fits, jet inversion, and Taylor machinery."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -473,6 +474,124 @@ def test_complex_zero_constant_term_is_refused():
                      lambda g: phase_inversion_coeffs(Jet((1,) * len(g.coefficients)), g)):
             with pytest.raises(ValidationError, match="constant term must be nonzero"):
                 call(G)
+
+
+def test_zero_constant_term_is_refused_with_one_message():
+    # real and Gaussian zeros of every entry type, as a Jet built by hand and
+    # as the exact result of another jet function
+    zeros = (0, Fraction(0), 0.0, -0.0, 0j, GaussianRational(Fraction(0), Fraction(0)))
+    jets = [Jet((z,) + (Fraction(1, 3),) * k) for z in zeros for k in (0, 1, 3)]
+    jets.append(forward_binomial(Jet((0, 1, Fraction(1, 2))), Jet((Fraction(-2), 1, 1))))
+    jets.append(phase_forward_binomial(Jet((0, 1)), Jet((GaussianRational(1, 1), 1))))
+    for G in jets:
+        c = Jet((Fraction(2),) * (G.order + 1))
+        for call in (jet_reciprocal, lambda g: inversion_coeffs(c, g),
+                     lambda g: phase_inversion_coeffs(c, g)):
+            with pytest.raises(ValidationError) as info:
+                call(G)
+            assert str(info.value) == "jet_reciprocal: constant term must be nonzero"
+
+
+def test_exact_zeros_round_to_positive_zero():
+    # g0 < 0 with an odd number of entries used to give the reciprocal a
+    # negative denominator, and a / d kept its sign for a = 0
+    got = inversion_coeffs(Jet((0.0, 0.0, 1.0)), Jet((-3, 0, 0))).coefficients
+    assert got == (0.0, 0.0, -1 / 3)
+    assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, -1.0]
+    got = jet_reciprocal(Jet((-2.0, 0.0, 0.0))).coefficients
+    assert got == (-0.5, 0.0, 0.0)
+    assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0, 1.0]
+    (z,) = phase_inversion_coeffs(Jet((-1.8369727593227116,)), Jet((-9,))).coefficients
+    assert z == -1.8369727593227116 / -9 and math.copysign(1.0, z.imag) == 1.0
+
+
+def _laziness_inputs():
+    """(x, G) pairs: A5 draws, the oracle test's draws (G, Gc, Gz and the
+    float and complex Gf, Gcf), and float/exact mixes."""
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(3):
+        b = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(13))
+        G = (Fraction(rng.randint(1, 40), rng.randint(1, 20)),) + tuple(
+            Fraction(rng.randint(-50, 50), rng.randint(1, 25)) for _ in range(12))
+        pairs.append((b, G))
+    for order in (0, 1, 5, 13):
+        rng = random.Random(2600 + order)
+        n = order + 1
+        g0 = rng.choice([rng.randint(-9, -1), Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))])
+        G = (g0,) + tuple(_draw(rng, order))
+        Gc = tuple(GaussianRational(Fraction(v), Fraction(u)) for v, u in zip(G, [0] + _draw(rng, order)))
+        Gz = tuple(GaussianRational(v.re - v.im, v.re + v.im) for v in Gc)
+        Gf = (float(g0),) + tuple(_draw_inexact(rng, order))
+        Gcf = (complex(float(g0), 1.5),) + tuple(_draw_inexact(rng, order, True))
+        xs = (_draw(rng, n), _draw(rng, n, gaussian=True), _draw_inexact(rng, n),
+              _draw(rng, n)[:-1] + [0.25])
+        pairs += [(tuple(x), GG) for GG in (G, Gc, Gz, Gf, Gcf) for x in xs]
+    return pairs
+
+
+def _assert_indistinguishable(lazy, eager):
+    assert dataclasses.is_dataclass(lazy) and lazy.order == eager.order
+    assert hash(lazy) == hash(eager) and lazy == eager and eager == lazy
+    assert repr(lazy) == repr(eager)
+    assert lazy.to_json() == eager.to_json()
+    assert numerics.jsonable(lazy) == numerics.jsonable(eager)
+    assert lazy.exact == eager.exact
+    _assert_same(lazy.coefficients, eager.coefficients)
+    # one entry type per jet, and exact complex entries have Fraction parts
+    assert len({type(v) for v in lazy.coefficients}) == 1
+    for v in lazy.coefficients:
+        assert type(v) in (Fraction, GaussianRational, float, complex)
+        if isinstance(v, GaussianRational):
+            assert type(v.re) is Fraction and type(v.im) is Fraction, v
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValidationError as e:
+        return str(e)
+
+
+def test_a_result_fed_to_the_next_jet_function_acts_as_its_coefficients():
+    unary = [jet_reciprocal]
+    binary = [forward_binomial, inversion_coeffs, phase_forward_binomial, phase_inversion_coeffs]
+    for x, G in _laziness_inputs():
+        x, G = Jet(x), Jet(G)
+        for first in unary + binary:
+            args = (G,) if first is jet_reciprocal else (x, G)
+            out = _outcome(first, *args)
+            if isinstance(out, str):
+                continue
+            # each chain runs on the result as returned, then on a Jet built
+            # from its coefficients, which reads them
+            chains = [lambda j: jet_reciprocal(j)]
+            for f in binary:
+                chains += [lambda j, f=f: f(j, G), lambda j, f=f: f(x, j)]
+            lazy = [_outcome(chain, out) for chain in chains]
+            copy = Jet(out.coefficients)
+            _assert_indistinguishable(_outcome(first, *args), copy)
+            for chain, got in zip(chains, lazy):
+                want = _outcome(chain, copy)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    _assert_indistinguishable(got, want)
+
+
+def test_jet_results_stay_frozen_and_rows_are_kept_only_for_tuples():
+    G = Jet((Fraction(1), Fraction(1)))
+    out = forward_binomial(Jet((Fraction(1), Fraction(2))), G)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.coefficients = (1, 2)
+    assert dataclasses.fields(out)[0].name == "coefficients"
+    with pytest.raises(AttributeError):
+        out.missing
+    values = [Fraction(1), Fraction(2)]
+    b = Jet(values)
+    first = forward_binomial(b, G)
+    values[1] = Fraction(5)
+    assert forward_binomial(b, G) == forward_binomial(Jet(tuple(values)), G) != first
 
 
 @given(
