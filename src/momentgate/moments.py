@@ -177,7 +177,12 @@ def make_user(
         best = -math.inf
         for k in range(0, 241):
             x = lo + math.pow(1.06, k)
-            v = abs(evaluator(x))
+            try:
+                v = abs(evaluator(x))
+            except OverflowError:
+                raise EvaluationError(
+                    f"user: evaluator overflowed at x = {x!r} while probing its decay"
+                ) from None
             if v > 0:
                 best = max(best, math.log(v) + decay_exponent * math.log1p(x))
         base = best + math.log(4.0) if math.isfinite(best) else math.log(4.0)
@@ -201,15 +206,41 @@ def make_user(
 # quadrature
 
 
-def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
-    # imported here: scipy.integrate takes most of the package's import time,
-    # and only moment quadrature needs it
+# room in log |phi| by which the declared envelope must clear the best score
+# before it ends a half of moment's dyadic scale scan
+_SCAN_SLACK = 1.0
+
+
+@functools.cache
+def _integrate():
+    # imported on first use: scipy.integrate takes most of the package's
+    # import time, and only the quadrature routines below need it
     from scipy import integrate
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        v, e = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
+    return integrate
+
+
+def _quiet(routine):
+    """Run a quadrature routine with IntegrationWarning ignored, entering the
+    warnings filter once for all of its panels."""
+
+    @functools.wraps(routine)
+    def quiet(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", _integrate().IntegrationWarning)
+            return routine(*args, **kwargs)
+
+    return quiet
+
+
+def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
+    v, e = _integrate().quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
     return float(v), float(e)
+
+
+def _not_finite(where: str, v: float, x: float) -> EvaluationError:
+    # raised inside the integrand: QUADPACK must never see a nan or an inf
+    return EvaluationError(f"{where}: integrand is {v!r} at x = {x!r}")
 
 
 def _envelope_tail(log_env, start: float, p: int, extra_decay: float = 0.0) -> float:
@@ -244,8 +275,69 @@ def _check_order(p: int, cap: int, where: str) -> None:
         raise ValidationError(f"{where}: order p={p} beyond supported cap {cap}")
 
 
+def _dominant_scale(f, log_env, p: int) -> int:
+    """The first k in -80..240 that maximizes (p+1) k log 2 + log |f(2^k)|.
+
+    The declared envelope is decreasing, so past any x its value there
+    bounds log |f|. Scanning up from k = 0, no later scale can beat the best
+    score once (p+1) 240 log 2 + log_env(2^k) + _SCAN_SLACK falls below it;
+    scanning down from k = -1, no smaller one can once
+    (p+1) k log 2 + log_env(2^-80) + _SCAN_SLACK does. The downward half
+    takes ties, so the result is the full ascending scan's first maximum.
+    Without an envelope, or with a nan or infinite one at 2^-80, every k is
+    scored.
+    """
+    log2 = math.log(2.0)
+
+    def log_abs(x: float) -> float:
+        try:
+            val = abs(f(x))
+        except OverflowError:
+            # evaluator gave out at an extreme probe; the declared envelope
+            # stands in, and without one the failure is the caller's
+            if log_env is None:
+                raise EvaluationError(
+                    f"moment: evaluator overflowed at x = {x:g} and no "
+                    "log_envelope was declared"
+                )
+            return log_env(x)
+        return math.log(val) if val > 0.0 else -math.inf
+
+    ceiling = math.nan if log_env is None else log_env(2.0**-80)
+    if math.isfinite(ceiling):
+        reach = (p + 1) * 240 * log2 + _SCAN_SLACK
+    else:
+        ceiling = reach = math.inf
+    best_k, best = 0, -math.inf
+    for k in range(0, 241):
+        x = 2.0**k
+        log_val = log_abs(x)
+        score = (p + 1) * k * log2 + log_val
+        if score > best:
+            best_k, best = k, score
+        # log |f(x)| <= log_env(x): the first test spares the envelope call
+        elif log_val < best - reach and log_env(x) < best - reach:
+            break
+    for k in range(-1, -81, -1):
+        if (p + 1) * k * log2 + ceiling + _SCAN_SLACK < best:
+            break
+        log_val = log_abs(2.0**k)
+        score = (p + 1) * k * log2 + log_val
+        if log_val > -math.inf and score >= best:
+            best_k, best = k, score
+    return best_k
+
+
+@_quiet
 def moment_with_error(phi: TestFunction, p: int):
-    """(value, abs error estimate) for int_0^inf x^p phi(x) dx, to MOMENT_RTOL."""
+    """(value, abs error estimate) for int_0^inf x^p phi(x) dx, to MOMENT_RTOL.
+
+    On the half line the panels [2^k, 2^(k+1)] run right, then left, from
+    the scale _dominant_scale picks. The declared log_envelope, which
+    certifies the right tail, also ends that scale scan as soon as it proves
+    that no further scale can score higher. A nan or infinite integrand
+    value is an EvaluationError naming x.
+    """
     _check_order(p, 64, "moment")
     if math.isfinite(phi.decay_exponent) and phi.decay_exponent <= p + 1:
         raise ValidationError(
@@ -253,9 +345,11 @@ def moment_with_error(phi: TestFunction, p: int):
             f"x^{p}; need exponent > {p + 1}"
         )
     f = phi.evaluator
-
     def integrand(x: float) -> float:
-        return (x**p) * f(x)
+        v = (x**p) * f(x)
+        if math.isfinite(v):
+            return v
+        raise _not_finite("moment", v, x)
 
     lo, hi = phi.support
     if phi.compact:
@@ -263,25 +357,7 @@ def moment_with_error(phi: TestFunction, p: int):
         return v, e
 
     # locate the dominant dyadic scale, then integrate outward from it
-    best_k, best = 0, -math.inf
-    for k in range(-80, 241):
-        x = 2.0**k
-        try:
-            val = abs(f(x))
-            log_val = math.log(val) if val > 0.0 else -math.inf
-        except OverflowError:
-            # evaluator gave out at an extreme probe; the declared envelope
-            # stands in, and without one the failure is the caller's
-            if phi.log_envelope is None:
-                raise EvaluationError(
-                    f"moment: evaluator overflowed at x = {x:g} and no "
-                    "log_envelope was declared"
-                )
-            log_val = phi.log_envelope(x)
-        if log_val > -math.inf:
-            score = (p + 1) * k * math.log(2.0) + log_val
-            if score > best:
-                best_k, best = k, score
+    best_k = _dominant_scale(f, phi.log_envelope, p)
     total = 0.0
     err = 0.0
     k = best_k
@@ -328,12 +404,14 @@ def moment(phi: TestFunction, p: int) -> float:
     return moment_with_error(phi, p)[0]
 
 
+@_quiet
 def moment_origin(phi: TestFunction, p: int) -> float:
     """mu0_p(phi) = int_0^1 phi(x) / x^p dx for phi flat at the origin, to
     ORIGIN_RTOL.
 
     A pre-check probes phi(10^-k); growth of phi(x)/x^p toward 0 means the
-    integrand blows up and the order is refused.
+    integrand blows up and the order is refused. A nan or infinite integrand
+    value is an EvaluationError naming x.
     """
     _check_order(p, 32, "moment_origin")
     lo, hi = phi.support
@@ -355,7 +433,12 @@ def moment_origin(phi: TestFunction, p: int) -> float:
 
     def integrand(x: float) -> float:
         v = f(x)
-        return 0.0 if v == 0.0 else v * math.exp(-p * math.log(x))
+        if v == 0.0:
+            return 0.0
+        v = v * math.exp(-p * math.log(x))
+        if math.isfinite(v):
+            return v
+        raise _not_finite("moment_origin", v, x)
 
     cuts = [1.0, 0.99, 0.9, 0.5, 0.1]
     x_hi = 0.1
@@ -388,12 +471,14 @@ class LaplaceSample:
     abs_error: float
 
 
+@_quiet
 def laplace_sample(phi: TestFunction, zeta: complex) -> LaplaceSample:
     """Oscillation-aware quadrature of the Laplace-type sample at zeta, its
     tail cut where the declared envelope bounds it by LAPLACE_ATOL / 4.
 
     Panels never exceed half a period of exp(i x Re zeta) (capped at 1), so
-    the oscillation stays resolved without specialized rules.
+    the oscillation stays resolved without specialized rules. A nan or
+    infinite integrand value is an EvaluationError naming x.
     """
     z = complex(zeta)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -426,17 +511,19 @@ def laplace_sample(phi: TestFunction, zeta: complex) -> LaplaceSample:
     if (cutoff - lo) / width > 2e5:
         raise QuadratureError("laplace_sample: panel budget exceeded at this zeta")
 
-    def re_part(x: float) -> float:
-        v = f(x)
-        if v == 0.0:
-            return 0.0
-        return v * math.exp(-im * x) * math.cos(re * x)
+    def part(trig):
+        def integrand(x: float) -> float:
+            v = f(x)
+            if v == 0.0:
+                return 0.0
+            v = v * math.exp(-im * x) * trig(re * x)
+            if math.isfinite(v):
+                return v
+            raise _not_finite("laplace_sample", v, x)
 
-    def im_part(x: float) -> float:
-        v = f(x)
-        if v == 0.0:
-            return 0.0
-        return v * math.exp(-im * x) * math.sin(re * x)
+        return integrand
+
+    re_part, im_part = part(math.cos), part(math.sin)
 
     total = 0.0 + 0.0j
     err = tail

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentgate import (
+    EvaluationError,
     ExplicitSpec,
     GevreySpec,
     Jet,
@@ -44,7 +48,9 @@ BUMP_MASS = 0.007029858406609656  # integral of exp(-1/x - 1/(1-x)) over (0,1)
 # moments on the half line
 
 
-@pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+# x^(1/s) overflows past x = 2^(1024 s), so for s <= 0.2 the scale scan must
+# end, on the envelope's word, before it reaches 2^240
+@pytest.mark.parametrize("s", [0.1, 0.2, 1.0, 2.0, 3.0])
 def test_moment_exp_power_closed_form(s):
     phi = make_exp_power(s)
     for p in (0, 1, 4, 9, 15):
@@ -79,6 +85,50 @@ def test_moment_refuses_insufficient_decay():
 def test_moment_bump_support():
     bump = make_bump01()
     assert moment(bump, 0) == pytest.approx(BUMP_MASS, rel=1e-9)
+
+
+def test_quadrature_routines_take_keyword_arguments():
+    # each routine runs inside one warnings filter, entered by a wrapper
+    phi, bump = make_exp_power(1.0), make_bump01()
+    assert moment_with_error(phi=phi, p=2) == moment_with_error(phi, 2)
+    assert moment_origin(phi=bump, p=1) == moment_origin(bump, 1)
+    assert laplace_sample(phi=phi, zeta=1j) == laplace_sample(phi, 1j)
+
+
+def test_non_finite_integrand_values_are_one_evaluation_error():
+    # a nan inside a panel used to come back as a nan moment and Laplace sample
+    phi = make_user(
+        lambda x: math.nan if 1.0 < x < 2.0 else math.exp(-x), 5.0, log_envelope=lambda x: -x
+    )
+    with pytest.raises(EvaluationError, match=r"^moment: integrand is nan at x = 1\.\d+$"):
+        moment(phi, 1)
+    with pytest.raises(EvaluationError, match=r"^laplace_sample: integrand is nan at x = 1\.\d+$"):
+        laplace_sample(phi, 0.5j)
+    spike = make_user(lambda x: math.inf if 0.3 < x < 0.6 else 0.0, 5.0, support=(0.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"^moment_origin: integrand is inf at x = 0\.\d+$"):
+        moment_origin(spike, 0)
+    with pytest.raises(EvaluationError, match="^user: evaluator overflowed at x = "):
+        make_user(lambda x: math.exp(x), 5.0)
+
+
+def test_nan_in_a_compact_moment_is_an_error_not_a_crash():
+    # QUADPACK (scipy 1.17.1) died with SIGBUS on this nan; run it in a child
+    # process so that a regression cannot take the test run down
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    probe = (
+        "import math\n"
+        "from momentgate.errors import EvaluationError\n"
+        "from momentgate.moments import make_user, moment_with_error\n"
+        "phi = make_user(lambda x: math.nan if 0.3 < x < 0.6 else 0.0, 5.0, support=(0.0, 1.0))\n"
+        "try:\n"
+        "    moment_with_error(phi, 1)\n"
+        "except EvaluationError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    assert done.stdout.startswith("moment: integrand is nan at x = 0."), done.stdout
 
 
 # ---------------------------------------------------------------------------
