@@ -63,13 +63,22 @@ def warm(seq: WeightSequence) -> bool:
     prefix = array("d")
     prefix.frombytes(memoryview(values).cast("B"))
     seq._prefix = prefix
+    seq._stored_length = len(values)
     return True
 
 
 def persist(seq: WeightSequence) -> bool:
-    """Store the materialized prefix if it grew enough to be worth keeping."""
+    """Store the materialized prefix if it grew enough to be worth keeping.
+
+    Skips the write, and returns False, when the prefix is shorter than
+    _MIN_PERSIST entries, or when the file already holds exactly this prefix:
+    warm() loaded it from there, or persist() wrote it, and the prefix has not
+    grown since. A file warm() refused, or one shorter than the prefix, is
+    replaced.
+    """
     d = cache_dir()
-    if d is None or len(seq._prefix) < _MIN_PERSIST:
+    n = len(seq._prefix)
+    if d is None or n < _MIN_PERSIST or n <= seq._stored_length:
         return False
     os.makedirs(d, exist_ok=True)
     path = _path(seq, d)
@@ -79,6 +88,7 @@ def persist(seq: WeightSequence) -> bool:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, data)
         os.replace(tmp, path)
+        seq._stored_length = n
     except OSError:
         try:
             os.unlink(tmp)

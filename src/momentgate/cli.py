@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from . import cache
@@ -270,6 +269,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep: empty grid")
     tasks = [(args.family, param, v, args.horizon, args.tol) for v in values]
     if args.jobs > 1:
+        # imported here: multiprocessing is most of its import, which
+        # analyze, verify and a one-process sweep never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:

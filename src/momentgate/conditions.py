@@ -299,22 +299,51 @@ def classify_power_series(
     return classify_series(D, beta, fit)
 
 
+@dataclass
+class _WorkingSet:
+    """The horizon-sized arrays one analysis of a sequence reads, held
+    read-only on the sequence until a read at another horizon replaces them:
+    log m from the start, then, as tail_series first asks for them,
+    x = log(p+1) and per product beta*alpha the log denominators
+    D = beta*alpha*x + log m with their tail fit (delta-block families read
+    log m only)."""
+
+    horizon: int
+    logm: np.ndarray
+    x: Optional[np.ndarray] = None
+    # beta*alpha -> (D, tail fit): 0.0, whose D is log m, and the last other
+    series: dict = field(default_factory=dict)
+
+
+def _working_set(seq: WeightSequence, horizon: int) -> _WorkingSet:
+    ws = seq._working_set
+    if ws is None or ws.horizon != horizon:
+        logm = seq.log_m_array(horizon)
+        logm.flags.writeable = False
+        ws = seq._working_set = _WorkingSet(horizon, logm)
+    return ws
+
+
 def tail_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
     """(x, log m, D, tail fit of D) for sum_p (p+1)^(-alpha) m_p^(-1/beta), with
-    x = log(p+1) and D = beta*alpha*x + log m for p <= horizon. x, log m and their
-    fit are kept read-only on the sequence for its last horizon."""
-    memo = seq._series_memo
-    if memo is None or memo[0] != horizon:
-        logm = seq.log_m_array(horizon)
-        x = np.log(np.arange(1, horizon + 2, dtype=float))
-        logm.flags.writeable = x.flags.writeable = False
-        memo = seq._series_memo = (horizon, x, logm, _tail_fit(x, logm))
-    _, x, logm, fit = memo
-    if alpha == 0.0:
-        # beta*0*x + log m is log m bit for bit: log_m_array never holds -0.0
-        return x, logm, logm, fit
-    D = beta * alpha * x + logm
-    return x, logm, D, _tail_fit(x, D)
+    x = log(p+1) and D = beta*alpha*x + log m for p <= horizon, from the
+    sequence's working set."""
+    ws = _working_set(seq, horizon)
+    if ws.x is None:
+        ws.x = np.log(np.arange(1, horizon + 2, dtype=float))
+        ws.x.flags.writeable = False
+    ba = beta * alpha
+    if ba not in ws.series:
+        if ba == 0.0:
+            # beta*0*x + log m is log m bit for bit: log_m_array never holds -0.0
+            D = ws.logm
+        else:
+            # one scaled D at a time, so a sweep over alpha*beta holds no more
+            ws.series = {k: v for k, v in ws.series.items() if k == 0.0}
+            D = ba * ws.x + ws.logm
+            D.flags.writeable = False
+        ws.series[ba] = (D, _tail_fit(ws.x, D))
+    return (ws.x, ws.logm) + ws.series[ba]
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +352,7 @@ def tail_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
 
 
 def _check_convexity(seq: WeightSequence, horizon: int, shifted: bool):
-    logm = seq.log_m_array(horizon)
-    d = np.diff(logm)
+    d = np.diff(_working_set(seq, horizon).logm)
     if shifted:
         d = d + np.log1p(1.0 / np.arange(1, horizon + 1, dtype=float))
     i = int(np.argmin(d))
@@ -336,13 +364,11 @@ def _check_convexity(seq: WeightSequence, horizon: int, shifted: bool):
 
 
 def _check_dc(seq: WeightSequence, horizon: int):
-    logm = seq.log_m_array(horizon)
-    r = logm / np.arange(1, horizon + 2, dtype=float)
-    stable, run = numerics.running_sup_stabilized(r, STAB_RTOL)
-    constants = {"C0": 1.0, "H": numerics.exp_or_inf(max(float(run[-1]), 0.0))}
-    diagnostics = {
-        "sup_trace": [(int(i), float(run[i - 1])) for i in numerics.geometric_indices(len(r), 16)],
-    }
+    r = _working_set(seq, horizon).logm / np.arange(1, horizon + 2, dtype=float)
+    trace = numerics.geometric_indices(len(r), 16)
+    stable, sup, at = numerics.running_sup_stabilized(r, STAB_RTOL, trace - 1)
+    constants = {"C0": 1.0, "H": numerics.exp_or_inf(max(sup, 0.0))}
+    diagnostics = {"sup_trace": [(int(i), float(v)) for i, v in zip(trace, at)]}
     if stable:
         return Status.HOLDS_AT_HORIZON, constants, None, diagnostics
     return Status.INCONCLUSIVE, constants, None, diagnostics
@@ -365,8 +391,7 @@ def _check_mg(seq: WeightSequence, horizon: int):
     d = _split_excess(seq.log_M_array(horizon))
     n = np.arange(2, horizon + 1)
     r = d / n
-    stable, run = numerics.running_sup_stabilized(r, STAB_RTOL)
-    sup = float(run[-1])
+    stable, sup, _ = numerics.running_sup_stabilized(r, STAB_RTOL)
     diagnostics = {
         "split_trace": [
             (int(n[i]), float(r[i])) for i in numerics.geometric_indices(len(r), 16) - 1
@@ -442,14 +467,13 @@ def _sup_verdict(values, diagnostics: dict, window: Optional[int] = None):
     list; sup growth in failing cases is at least log 3 per stage, while
     stabilizing corrections die off doubly exponentially.
     """
-    arr = np.asarray(values, dtype=float)
-    run = np.maximum.accumulate(arr)
-    final = float(run[-1])
+    n = len(values)
     if window is None:
-        i0 = max((3 * len(arr)) // 4 - 1, 0)
+        i0 = max((3 * n) // 4 - 1, 0)
     else:
-        i0 = max(len(arr) - 1 - window, 0)
-    gap = final - float(run[i0])
+        i0 = max(n - 1 - window, 0)
+    at_i0, final = map(float, numerics.running_sup_at(values, (i0, n - 1)))
+    gap = final - at_i0
     sup = _exp(final)
     if gap <= math.log1p(STAB_RTOL):
         return Status.HOLDS_AT_HORIZON, {"C": sup}, None, diagnostics
@@ -544,7 +568,7 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
     del terms  # no third horizon-sized array beside the fold and T
     # log_total aggregates from p=0; recover the beyond-horizon tail piece
     tail_piece = numerics.log_sub_exp(report.log_total, report.log_partial)
-    T = np.logaddexp(suffix, tail_piece)
+    T = np.logaddexp(suffix, tail_piece, out=suffix)  # in the fold's buffer
     lR = logm[:half] / beta - (1.0 - alpha) * x[:half] + T
     diagnostics["sup_trace"] = [
         (int(i - 1), float(lR[i - 1])) for i in numerics.geometric_indices(half, 24)

@@ -335,8 +335,10 @@ def moment_with_error(phi: TestFunction, p: int):
     On the half line the panels [2^k, 2^(k+1)] run right, then left, from
     the scale _dominant_scale picks. The declared log_envelope, which
     certifies the right tail, also ends that scale scan as soon as it proves
-    that no further scale can score higher. A nan or infinite integrand
-    value is an EvaluationError naming x.
+    that no further scale can score higher. Where x^p passes the float
+    range, the integrand is exp(p log x + log |f(x)|) with f's sign. A nan or
+    infinite integrand value is an EvaluationError naming x, and so is a
+    value or error estimate that is not finite.
     """
     _check_order(p, 64, "moment")
     if math.isfinite(phi.decay_exponent) and phi.decay_exponent <= p + 1:
@@ -346,15 +348,21 @@ def moment_with_error(phi: TestFunction, p: int):
         )
     f = phi.evaluator
     def integrand(x: float) -> float:
-        v = (x**p) * f(x)
+        try:
+            xp = x**p
+        except OverflowError:
+            v = f(x)
+            if v:
+                v = math.copysign(numerics.exp_or_inf(p * math.log(x) + math.log(abs(v))), v)
+        else:
+            v = xp * f(x)
         if math.isfinite(v):
             return v
         raise _not_finite("moment", v, x)
 
     lo, hi = phi.support
     if phi.compact:
-        v, e = _panel_quad(integrand, lo, hi, 1e-14, 1e-11)
-        return v, e
+        return _finite_moment(*_panel_quad(integrand, lo, hi, 1e-14, 1e-11))
 
     # locate the dominant dyadic scale, then integrate outward from it
     best_k = _dominant_scale(f, phi.log_envelope, p)
@@ -392,11 +400,18 @@ def moment_with_error(phi: TestFunction, p: int):
                 err += bound
                 break
         k -= 1
+    total, err = _finite_moment(total, err)
     if err > 20.0 * MOMENT_RTOL * max(abs(total), _TINY):
         raise QuadratureError(
             f"moment: error estimate {err:.2e} misses relative target {MOMENT_RTOL:g}"
         )
     return total, err
+
+
+def _finite_moment(value: float, err: float) -> Tuple[float, float]:
+    if math.isfinite(value) and math.isfinite(err):
+        return value, err
+    raise EvaluationError(f"moment: value {value!r} or error estimate {err!r} is not finite")
 
 
 def moment(phi: TestFunction, p: int) -> float:

@@ -234,18 +234,42 @@ def slopes_stable(c1: float, c2: float, rel_tol: float = 0.02) -> bool:
     return abs(c1 - c2) <= rel_tol * scale
 
 
-def running_sup_stabilized(values: np.ndarray, rel_tol: float) -> tuple[bool, np.ndarray]:
+def running_sup_at(values, at) -> np.ndarray:
+    """np.maximum.accumulate(values)[at], bit for bit, without the serial pass:
+    the maxima of the segments between the sorted read points, then a short
+    accumulate over them.
+
+    A NaN propagates as in the accumulate. Where the sup is a zero, the
+    accumulate keeps the later of two tied zeros, so its sign is that of the
+    last zero up to the read point; segment maxima need not order ties that
+    way, so those read points take it from that zero.
+    """
+    v = np.asarray(values, dtype=float)
+    at = np.asarray(at, dtype=np.intp)
+    read = np.unique(at)
+    top = v[: read[-1] + 1]
+    sups = np.maximum.reduceat(top, np.concatenate(([0], read[:-1] + 1)))
+    np.maximum.accumulate(sups, out=sups)
+    tied = np.flatnonzero(sups == 0.0)
+    if tied.size:
+        zeros = np.flatnonzero(top == 0.0)
+        sups[tied] = top[zeros[np.searchsorted(zeros, read[tied], side="right") - 1]]
+    return sups[np.searchsorted(read, at)]
+
+
+def running_sup_stabilized(values: np.ndarray, rel_tol: float, at=()) -> tuple[bool, float, np.ndarray]:
     """Whether the running sup of `values` grew <= rel_tol over the last quartile.
 
-    Returns (stabilized, running sup); the final sup is its last entry.
+    Returns (stabilized, final sup, the running sup at each index of `at`).
     """
-    run = np.maximum.accumulate(values)
-    if len(run) == 0:
-        return False, run
-    final = float(run[-1])
-    at_q3 = float(run[(3 * len(values)) // 4 - 1]) if len(values) >= 4 else float(run[0])
+    n = len(values)
+    if n == 0:
+        return False, math.nan, np.empty(0)
+    q3 = (3 * n) // 4 - 1 if n >= 4 else 0
+    sups = running_sup_at(values, np.concatenate(([q3, n - 1], np.asarray(at, dtype=np.intp))))
+    at_q3, final = float(sups[0]), float(sups[1])
     scale = max(abs(final), 1e-12)
-    return (final - at_q3) <= rel_tol * scale, run
+    return (final - at_q3) <= rel_tol * scale, final, sups[2:]
 
 
 @functools.lru_cache(maxsize=64)

@@ -335,9 +335,12 @@ class WeightSequence:
         # derive() results by (op, s), so a repeated derivation reuses the
         # prefix the first one materialized
         self._derived: dict[tuple[str, Optional[float]], WeightSequence] = {}
-        # conditions.tail_series: (horizon, x, log m, tail fit) for the last
-        # horizon asked for
-        self._series_memo: Optional[tuple] = None
+        # conditions._WorkingSet: the horizon-sized arrays the checkers read,
+        # for the last horizon asked for
+        self._working_set = None
+        # length of the prefix file cache.warm validated or cache.persist
+        # wrote, which persist leaves in place unless the prefix grew past it
+        self._stored_length = 0
 
     # -- evaluation --------------------------------------------------------
 

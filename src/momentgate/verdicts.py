@@ -345,8 +345,11 @@ def classify(
     report is returned.
     """
     seq = spec if isinstance(spec, WeightSequence) else make_sequence(spec)
+    # the stock sequence's checks first: at a new horizon they build its own
+    # working set, which should not coexist with this sequence's
+    aux = copy.deepcopy(_default_aux_hypotheses(horizon))
     hyps = {c: check_condition(seq, c, horizon=horizon) for c in ("lc", "dc", "mg", "nq")}
-    hyps.update(copy.deepcopy(_default_aux_hypotheses(horizon)))
+    hyps.update(aux)
     gamma = gamma_index(seq, horizon=horizon, tol=tol)
     omega = omega_index(seq, horizon=horizon, tol=tol)
     series = classify_power_series(seq, horizon, alpha=0.5, beta=2.0)

@@ -274,6 +274,37 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+def test_persist_leaves_the_file_warm_validated_in_place(capsys, tmp_path, monkeypatch):
+    # a warm analyze that grows nothing keeps the file (same inode and
+    # mtime); a shorter file, or one warm refused, is replaced
+    from momentgate import cache, sequence_from_json
+
+    monkeypatch.setenv("MOMENTGATE_CACHE_DIR", str(tmp_path))
+    code, cold, _ = run(capsys, "analyze", GEVREY25, "--format", "json")
+    assert code == 0
+    (path,) = tmp_path.glob("*.npy")
+    first = os.stat(path)
+    code, warm, _ = run(capsys, "analyze", GEVREY25, "--format", "json")
+    kept = os.stat(path)
+    assert code == 0 and warm == cold
+    assert (kept.st_ino, kept.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+    seq = sequence_from_json(json.loads(GEVREY25))
+    assert cache.warm(seq) and not cache.persist(seq)
+
+    short = len(np.load(path))
+    code, _, _ = run(capsys, "analyze", GEVREY25, "--format", "json", "--horizon", "20000")
+    grown = os.stat(path)
+    assert code == 0 and grown.st_ino != first.st_ino and len(np.load(path)) > short
+
+    values = np.load(path)
+    values[8:] += 1.0
+    np.save(path, values)
+    refused = os.stat(path)
+    code, _, _ = run(capsys, "analyze", GEVREY25, "--format", "json", "--horizon", "20000")
+    assert code == 0 and os.stat(path).st_ino != refused.st_ino
+    assert cache.warm(sequence_from_json(json.loads(GEVREY25)))
+
+
 def test_cache_rejects_one_corrupt_increment(capsys, tmp_path, monkeypatch):
     # every increment of a cached prefix is checked, not a few spot indices
     monkeypatch.setenv("MOMENTGATE_CACHE_DIR", str(tmp_path))
@@ -392,6 +423,19 @@ def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(momentgate.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, momentgate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only sweep --jobs > 1 starts worker processes; it imports the pool itself
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, momentgate.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -281,3 +281,35 @@ def test_mg_split_and_dc_trace_bit_exact(kind, horizon):
     got = conditions._check_dc(seq, horizon)[3]["sup_trace"]
     assert [i for i, _ in got] == [i for i, _ in want]
     assert np.array_equal(_bits([v for _, v in got]), _bits([v for _, v in want]))
+
+
+def test_classify_builds_each_working_set_array_once(monkeypatch):
+    # (lc), (dc) and the series share one log m; (nq) and the injectivity
+    # series (alpha*beta = 1 for both) share one D = x + log m and its fit
+    from momentgate import verdicts
+    from momentgate.sequences import WeightSequence
+
+    horizon = 100_000
+    verdicts._default_aux_hypotheses(horizon)  # the stock sequence's checks are not counted
+    seq = make_sequence(GevreySpec(s=1.5))
+    reads, fits = [], []
+    log_m_array, tail_fit = WeightSequence.log_m_array, conditions._tail_fit
+
+    def counted_log_m_array(self, n):
+        if self is seq:
+            reads.append(n)
+        return log_m_array(self, n)
+
+    def counted_tail_fit(x, D):
+        fits.append(D)
+        return tail_fit(x, D)
+
+    monkeypatch.setattr(WeightSequence, "log_m_array", counted_log_m_array)
+    monkeypatch.setattr(conditions, "_tail_fit", counted_tail_fit)
+    verdicts.classify(seq, horizon=horizon)
+    assert reads.count(horizon) == 1
+    ws = seq._working_set
+    D = ws.series[1.0][0]
+    assert np.array_equal(_bits(D), _bits(ws.x + ws.logm))
+    assert len(fits) == 2 and sum(f is D for f in fits) == 1 and sum(f is ws.logm for f in fits) == 1
+    assert not (D.flags.writeable or ws.logm.flags.writeable or ws.x.flags.writeable)

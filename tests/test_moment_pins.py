@@ -11,7 +11,11 @@ the scale the full scan picks.
 """
 
 import math
+import sys
 
+import pytest
+
+from momentgate.errors import EvaluationError
 from momentgate.moments import (
     derivative_function,
     laplace_sample,
@@ -128,7 +132,7 @@ MOMENT_PINS = {
     ('exp_power(2)', 16): ('0x1.a21627303a544p+123', '0x1.47e43a446ecefp+77'),
     ('exp_power(2)', 24): ('0x1.7a88e4484be40p+209', '0x1.32c160a3a1e5fp+165'),
     ('exp_power(2)', 32): ('0x1.0320568f6ab30p+303', '0x1.bdfa3ca5c053cp+257'),
-    ('exp_power(2)', 64): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
+    ('exp_power(2)', 64): ('0x1.209ab80c3639fp+724', '0x1.48faababd075ap+680'),
     ('exp_power(3)', 0): ('0x1.7fffffffff7ebp+2', '0x1.12f37ac8acb84p-38'),
     ('exp_power(3)', 1): ('0x1.67ffffffffe0ap+8', '0x1.1eb793d77d9cdp-34'),
     ('exp_power(3)', 2): ('0x1.d87ffffffff72p+16', '0x1.b27081844aea7p-28'),
@@ -140,7 +144,7 @@ MOMENT_PINS = {
     ('exp_power(3)', 16): ('0x1.bb986b84b8f41p+215', '0x1.63daa4cf62accp+169'),
     ('exp_power(3)', 24): ('0x1.b0afb722cf0e9p+358', '0x1.55ad91fd96c0fp+312'),
     ('exp_power(3)', 32): ('0x1.0dfc8561e2780p+513', '0x1.12b774e1df10fp+468'),
-    ('exp_power(3)', 64): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
+    ('exp_power(3)', 64): ('refused', 'EvaluationError', 'moment: integrand is inf at x = 12582912.0'),
     ('exp_power(5)', 0): ('0x1.dffffffffede3p+6', '0x1.8b0b9fb2adbf9p-33'),
     ('exp_power(5)', 1): ('0x1.baf7ffffffdfdp+20', '0x1.4fb86c00496bep-21'),
     ('exp_power(5)', 2): ('0x1.95f49f1fffe81p+38', '0x1.9eaa3bed98c38p-1'),
@@ -151,8 +155,8 @@ MOMENT_PINS = {
     ('exp_power(5)', 12): ('0x1.3eecb94e0d25cp+298', '0x1.442128cc3a121p+257'),
     ('exp_power(5)', 16): ('0x1.87af171914c74p+422', '0x1.175ba66f98f96p+382'),
     ('exp_power(5)', 24): ('0x1.774cda7feba03p+690', '0x1.90fb1de3af29ep+646'),
-    ('exp_power(5)', 32): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
-    ('exp_power(5)', 64): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
+    ('exp_power(5)', 32): ('0x1.49682f740387ap+977', '0x1.0350270c34a38p+931'),
+    ('exp_power(5)', 64): ('refused', 'EvaluationError', 'moment: integrand is inf at x = 6597069766656.0'),
     ('user_fast', 0): ('0x1.c5bf891b4e76bp-1', '0x1.0589f697a940ep-41'),
     ('user_fast', 1): ('0x1.ffffffffffe01p-2', '0x1.19002b60d311ap-44'),
     ('user_fast', 2): ('0x1.c5bf891b4ef56p-2', '0x1.09e4023c353b6p-47'),
@@ -200,7 +204,7 @@ MOMENT_PINS = {
     ('user_far_scale', 16): ('0x1.0fe04fd11a3b8p+383', '0x1.a8ce7cb755818p+336'),
     ('user_far_scale', 24): ('0x1.4119308a54971p+577', '0x1.0ce80ccfb9c9ep+535'),
     ('user_far_scale', 32): ('0x1.52f914c769a72p+775', '0x1.0a4707f00652ap+731'),
-    ('user_far_scale', 64): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
+    ('user_far_scale', 64): ('refused', 'EvaluationError', 'moment: integrand is inf at x = 100663296.0'),
     ('user_far_bump', 0): ('0x1.0f4e37a4efff7p+31', '0x1.d77d9df31d038p-16'),
     ('user_far_bump', 1): ('0x1.0b744fbd0c056p+62', '0x1.81f3ea2085ed5p+21'),
     ('user_far_bump', 2): ('0x1.b2b2c056ed128p+93', '0x1.46d1f540bf7f5p+51'),
@@ -210,9 +214,9 @@ MOMENT_PINS = {
     ('user_far_bump', 8): ('0x1.15879a04ef25ap+299', '0x1.25246b1c5d6f3p+255'),
     ('user_far_bump', 12): ('0x1.5c8b7d8f6f117p+450', '0x1.df0dcbb574e4cp+408'),
     ('user_far_bump', 16): ('0x1.3e91bb867fafap+613', '0x1.4300e67c9436cp+574'),
-    ('user_far_bump', 24): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
-    ('user_far_bump', 32): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
-    ('user_far_bump', 64): ('refused', 'OverflowError', "(34, 'Numerical result out of range')"),
+    ('user_far_bump', 24): ('0x1.9a56925a540d9p+973', '0x1.dd70d5d4b7fbcp+928'),
+    ('user_far_bump', 32): ('refused', 'EvaluationError', 'moment: integrand is inf at x = 2.7021597764222976e+16'),
+    ('user_far_bump', 64): ('refused', 'EvaluationError', 'moment: integrand is inf at x = 1.1068046444225731e+20'),
 }
 
 # (name, p) -> value as float.hex
@@ -314,3 +318,30 @@ def test_scale_scan_stop_keeps_the_full_scans_first_maximum():
         calls = []
         _dominant_scale(lambda x: calls.append(x) or math.exp(-x), envelope, 1)
         assert sorted(calls) == [2.0**k for k in range(-80, 241)]
+
+
+def test_moments_past_the_float_range_of_x_to_the_p():
+    # x^p overflows near these integrands' peaks, where the integrand is
+    # exp(p log x + log f(x)): a finite moment matches its closed form, one
+    # past the float range is a one-line EvaluationError
+    finite = {
+        ("exp_power(2)", 64): float(2 * math.factorial(129)),  # s Gamma(s(p+1))
+        ("exp_power(5)", 32): float(5 * math.factorial(164)),
+        # sqrt(pi) e^((p+1) c + (p+1)^2/4) with c = log 1e9
+        ("user_far_bump", 24): math.sqrt(math.pi) * 1e225 * math.exp(625 / 4),
+    }
+    for (name, p), want in finite.items():
+        value, error = moment_with_error(FUNCTIONS[name](), p)
+        assert abs(value - want) <= 1e-12 * want and error <= 1e-10 * want, (name, p, value, want)
+    log_max = math.log(sys.float_info.max)
+    beyond = {
+        ("exp_power(3)", 64): math.log(3) + math.lgamma(195),
+        ("exp_power(5)", 64): math.log(5) + math.lgamma(325),
+        ("user_far_scale", 64): math.lgamma(65) + 390 * math.log(10),  # p! 10^(6(p+1))
+        ("user_far_bump", 32): 0.5 * math.log(math.pi) + 33 * math.log(1e9) + 33**2 / 4,
+        ("user_far_bump", 64): 0.5 * math.log(math.pi) + 65 * math.log(1e9) + 65**2 / 4,
+    }
+    for (name, p), log_want in beyond.items():
+        assert log_want > log_max
+        with pytest.raises(EvaluationError, match="^moment: integrand is inf at x = [0-9.e+]+$"):
+            moment_with_error(FUNCTIONS[name](), p)

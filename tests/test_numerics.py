@@ -191,11 +191,38 @@ def test_fit_line_recovers_affine():
 
 def test_running_sup_stabilized():
     flat = np.concatenate([np.linspace(0, 1, 30), np.full(70, 1.0)])
-    ok, run = numerics.running_sup_stabilized(flat, 0.01)
-    assert ok and run[-1] == 1.0
+    ok, final, at = numerics.running_sup_stabilized(flat, 0.01, [9, 29, 99])
+    assert ok and final == 1.0
+    assert at.tolist() == np.maximum.accumulate(flat)[[9, 29, 99]].tolist()
     growing = np.linspace(0, 1, 100)
-    ok, _ = numerics.running_sup_stabilized(growing, 0.01)
-    assert not ok
+    ok, final, at = numerics.running_sup_stabilized(growing, 0.01)
+    assert not ok and final == 1.0 and at.size == 0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_running_sup_at_matches_the_accumulate_bit_for_bit():
+    # draws from a small pool, so most values tie, with both zeros, both
+    # infinities and nan among them; read points repeat and come unsorted
+    rng = np.random.default_rng(20261021)
+    pool = np.array([-2.5, -1.0, -0.0, 0.0, 0.0, -0.0, 1e-300, 3.0, 7.0, -np.inf, np.inf, np.nan])
+    lengths = [1, 2, 3, 4, 5, 16, 17, 1000, 4097, 50_000]
+    lengths += rng.integers(1, 50_001, size=30).tolist()
+    for k, n in enumerate(lengths):
+        # which pool entries a draw may take: signed zeros only, no nan, or all
+        width = (6, 11, 12)[k % 3]
+        lo = 2 if k % 3 == 0 else 0
+        values = pool[rng.integers(lo, width, size=n)]
+        if k % 5 == 0:
+            values = np.sort(values)[::-1].copy()  # the sup is values[0] throughout
+        at = np.concatenate((rng.integers(0, n, size=20), [0, n - 1], numerics.geometric_indices(n, 16) - 1))
+        want = np.maximum.accumulate(values)[at]
+        got = numerics.running_sup_at(values, at)
+        assert np.array_equal(_bits(got), _bits(want)), (n, k)
+        # a plain list reads the same
+        assert np.array_equal(_bits(numerics.running_sup_at(values.tolist(), at[:3])), _bits(want[:3]))
 
 
 def test_jsonable_nonfinite_to_strings():
