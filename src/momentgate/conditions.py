@@ -17,7 +17,9 @@ Series tails are classified by fitting the composite exponent of the summand
 denominator against log p over the last quartile of the horizon (two
 half-windows must agree). Sequences derived from the delta-block family are
 classified blockwise instead: per-block sums are evaluated in closed form at
-doubly exponential indices where termwise summation is impossible.
+doubly exponential indices where termwise summation is impossible. Each check
+builds those parts (the direct terms below the cap and one log-sum per later
+segment) once, and both its series report and its suffix sums read them.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InternalInvariantError, ValidationError
-from .sequences import EX38_K, EX38_Q, BlockProfile, WeightSequence
+from .sequences import BlockProfile, WeightSequence
 
 CONDITIONS = ("lc", "wlc", "dc", "mg", "nq", "snq")
 
@@ -228,59 +230,40 @@ def _segment_log_sum(
     )
 
 
-def _block_parts(
-    seq: WeightSequence,
-    profile: BlockProfile,
-    alpha: float,
-    beta: float,
-    cap: int,
-) -> tuple[np.ndarray, list[tuple[int, float]]]:
-    """Direct log-terms below `cap` plus per-segment log-sums beyond it."""
+def _block_parts(seq: WeightSequence, profile: BlockProfile, alpha: float, beta: float):
+    """(direct, segments) for sum (p+1)^(-alpha) m_p^(-1/beta): the direct
+    log-terms below BLOCK_DIRECT_CAP, and (left, right, delta, log-sum) for
+    each segment reaching the cap, summed from left = max(start, cap)."""
+    cap = BLOCK_DIRECT_CAP
     logm = seq.log_m_array(cap - 1)
     p = np.arange(cap, dtype=float)
     direct = -alpha * np.log(p + 1.0) - logm[: cap] / beta
-    seg_sums: list[tuple[int, float]] = []
+    segments = []
     for a, b, delta in profile.segments():
-        if b < cap:
-            continue
-        left = max(a, cap)
-        if left > b:
-            continue
-        seg_sums.append(
-            (left, _segment_log_sum(seq, profile, left, b, delta, alpha, beta))
-        )
-    return direct, seg_sums
+        if b >= cap:
+            left = max(a, cap)
+            segments.append(
+                (left, b, delta, _segment_log_sum(seq, profile, left, b, delta, alpha, beta))
+            )
+    return direct, segments
 
 
-def classify_block_series(
-    seq: WeightSequence,
-    profile: BlockProfile,
-    alpha: float,
-    beta: float,
-) -> SeriesReport:
-    """Blockwise classification of sum (p+1)^(-alpha) m_p^(-1/beta).
+def _block_report(parts, beta: float) -> SeriesReport:
+    """Blockwise classification of a series from its _block_parts.
 
     Per-segment sums alternate between the two block slopes; growth across
     same-type segments at the far end of the table decides divergence. The
     doubly exponential segment lengths make the growth signal sharp.
     """
-    direct, seg_sums = _block_parts(seq, profile, alpha, beta, BLOCK_DIRECT_CAP)
+    direct, segments = parts
     log_partial = float(np.logaddexp.reduce(direct))
-    LS = [s for (_, s) in seg_sums]
-    divergent = False
-    for i in range(max(0, len(LS) - 6), len(LS) - 2):
-        if LS[i + 2] > LS[i]:
-            divergent = True
-    trace = ((BLOCK_DIRECT_CAP - 1, log_partial),)
-    if divergent:
-        return SeriesReport(
-            "divergent", beta, math.nan, (math.nan, math.nan),
-            log_partial, math.nan, trace, method="block", block_sums=tuple(LS),
-        )
-    log_total = float(np.logaddexp.reduce(np.array([log_partial] + LS)))
+    LS = [s for (*_, s) in segments]
+    divergent = any(LS[i + 2] > LS[i] for i in range(max(0, len(LS) - 6), len(LS) - 2))
+    log_total = math.nan if divergent else float(np.logaddexp.reduce(np.array([log_partial] + LS)))
     return SeriesReport(
-        "convergent", beta, math.nan, (math.nan, math.nan),
-        log_partial, log_total, trace, method="block", block_sums=tuple(LS),
+        "divergent" if divergent else "convergent", beta, math.nan, (math.nan, math.nan),
+        log_partial, log_total, ((BLOCK_DIRECT_CAP - 1, log_partial),),
+        method="block", block_sums=tuple(LS),
     )
 
 
@@ -294,7 +277,7 @@ def classify_power_series(
     route for delta-block families and the tail-fit route otherwise."""
     profile = seq.block_profile()
     if profile is not None:
-        return classify_block_series(seq, profile, alpha, beta)
+        return _block_report(_block_parts(seq, profile, alpha, beta), beta)
     _, _, D, fit = tail_series(seq, horizon, alpha, beta)
     return classify_series(D, beta, fit)
 
@@ -387,6 +370,12 @@ def _split_excess(logM: np.ndarray) -> np.ndarray:
     return d
 
 
+def _mg_constants(log_H: float) -> dict:
+    """(mg)'s constants C0 = 1 and H = e^log_H, reported as inf from
+    log_H = 700 on."""
+    return {"C0": 1.0, "H": math.exp(log_H) if log_H < 700.0 else math.inf, "log_H": log_H}
+
+
 def _check_mg(seq: WeightSequence, horizon: int):
     d = _split_excess(seq.log_M_array(horizon))
     n = np.arange(2, horizon + 1)
@@ -398,13 +387,7 @@ def _check_mg(seq: WeightSequence, horizon: int):
         ],
     }
     if stable:
-        log_H = max(sup, 0.0)
-        constants = {
-            "C0": 1.0,
-            "H": math.exp(log_H) if log_H < 700.0 else math.inf,
-            "log_H": log_H,
-        }
-        return Status.HOLDS_AT_HORIZON, constants, None, diagnostics
+        return Status.HOLDS_AT_HORIZON, _mg_constants(max(sup, 0.0)), None, diagnostics
     # sustained relative rise of the per-index excess over the last quartile
     tail = r[(3 * len(r)) // 4 :]
     monotone = bool(np.all(np.diff(tail) >= -1e-12))
@@ -421,12 +404,7 @@ def _check_mg(seq: WeightSequence, horizon: int):
                 "q": int((n[j] + 1) // 2),
                 "excess": float(excess[j]),
             }
-            constants = {
-                "C0": 1.0,
-                "H": math.exp(log_H) if log_H < 700.0 else math.inf,
-                "log_H": log_H,
-            }
-            return Status.FAILS, constants, witness, diagnostics
+            return Status.FAILS, _mg_constants(log_H), witness, diagnostics
     return Status.INCONCLUSIVE, {}, None, diagnostics
 
 
@@ -483,34 +461,27 @@ def _sup_verdict(values, diagnostics: dict, window: Optional[int] = None):
 
 
 def _block_log_suffix(
-    seq: WeightSequence, profile: BlockProfile, alpha: float, beta: float
+    seq: WeightSequence, profile: BlockProfile, parts, alpha: float, beta: float
 ) -> Callable[[int], float]:
     """p -> log sum_{q>=p} (q+1)^(-alpha) m_q^(-1/beta) for a delta-block
-    family: exact direct terms below the cap, closed-form segment integrals
-    above it."""
+    family, from the check's _block_parts: exact direct terms below the cap,
+    closed-form segment integrals above it. Past the cap, only p's own
+    segment is summed again, from p; the later ones keep their sums. The
+    segments run to k_9, past every probe."""
     cap = BLOCK_DIRECT_CAP
-    direct, seg_sums = _block_parts(seq, profile, alpha, beta, cap)
+    direct, segments = parts
     suffix = numerics.logsumexp_suffix(direct)
-    beyond = [s for (_, s) in seg_sums]
-    log_beyond = (
-        float(np.logaddexp.reduce(np.array(beyond))) if beyond else -math.inf
-    )
-    segments = profile.segments()
+    log_beyond = float(np.logaddexp.reduce(np.array([s for (*_, s) in segments])))
 
     def log_T(p: int) -> float:
         if p < cap:
             return float(np.logaddexp(suffix[p], log_beyond))
-        parts = []
-        for a, b, delta in segments:
-            if b < p:
-                continue
-            left = max(a, p, cap)
-            if left > b:
-                continue
-            parts.append(_segment_log_sum(seq, profile, left, b, delta, alpha, beta))
-        if not parts:
-            return -math.inf
-        return float(np.logaddexp.reduce(np.array(parts)))
+        sums = [
+            s if left >= p else _segment_log_sum(seq, profile, p, b, delta, alpha, beta)
+            for left, b, delta, s in segments
+            if b >= p
+        ]
+        return float(np.logaddexp.reduce(np.array(sums)))
 
     return log_T
 
@@ -522,7 +493,8 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
         R(p) = m_p^(1/beta) * (p+1)^(alpha-1) * sum_{q>=p} (q+1)^(-alpha) m_q^(-1/beta)
 
     Delta-block families probe R at dyadic indices plus the block boundaries,
-    with suffix sums from _block_log_suffix. Otherwise the suffix sums take
+    with suffix sums from _block_log_suffix over the same _block_parts as the
+    series report, built once per check. Otherwise the suffix sums take
     the computed terms up to the horizon plus a fitted integral tail, and
     the sup runs over p <= horizon/2. This is the exact engine: its
     diagnostics and constants go into reports bit for bit. gamma_beta_status
@@ -530,20 +502,17 @@ def _sup_series(seq: WeightSequence, horizon: int, alpha: float, beta: float):
     """
     profile = seq.block_profile()
     if profile is not None:
-        series = classify_block_series(seq, profile, alpha, beta)
+        parts = _block_parts(seq, profile, alpha, beta)
+        series = _block_report(parts, beta)
         if series.divergent:
             return Status.FAILS, {}, None, {"series": series}
-        log_T = _block_log_suffix(seq, profile, alpha, beta)
+        log_T = _block_log_suffix(seq, profile, parts, alpha, beta)
         probe_list: list[int] = [0, 1, 2]
         v = 4
         while v < BLOCK_DIRECT_CAP:
             probe_list.append(v)
             v *= 4
-        for j in range(9):
-            for boundary in (EX38_K[j], EX38_Q[j]):
-                if boundary >= BLOCK_DIRECT_CAP:
-                    probe_list.append(boundary)
-        probe_list = sorted(set(probe_list))
+        probe_list += [b for b in profile.boundaries() if b >= BLOCK_DIRECT_CAP]
         lR = [
             seq.log_m(p) / beta - (1.0 - alpha) * math.log(p + 1) + log_T(p)
             for p in probe_list

@@ -34,7 +34,7 @@ from .conditions import (
     tail_series,
 )
 from .errors import ValidationError
-from .sequences import EX38_K, EX38_Q, WeightSequence
+from .sequences import WeightSequence
 
 # the largest beta and mu probed; an index at or past it reports [INDEX_MAX, inf]
 INDEX_MAX = 64.0
@@ -60,10 +60,9 @@ def _probe_ladder(seq: WeightSequence, horizon: int) -> list[int]:
     while v <= horizon:
         probes.add(v)
         v *= 2
-    if seq.block_profile() is not None:
-        for j in range(9):
-            probes.add(EX38_K[j])
-            probes.add(EX38_Q[j])
+    profile = seq.block_profile()
+    if profile is not None:
+        probes.update(profile.boundaries())
     return sorted(p for p in probes if p >= 2)
 
 

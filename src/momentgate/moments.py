@@ -677,6 +677,15 @@ class LambdaFit:
     note: str
 
 
+def _log_ratios(values: Sequence[float], M: WeightSequence) -> list[float]:
+    """log |c_p| - log p! - log M_p for each order p, -inf where c_p = 0: the
+    entries the membership fits read off the scale p! M_p."""
+    return [
+        -math.inf if a == 0.0 else math.log(a) - math.lgamma(p + 1) - M.log_M(p)
+        for p, a in enumerate(map(abs, values))
+    ]
+
+
 def lambda_fit(values: Sequence[float], M: WeightSequence) -> LambdaFit:
     """Least-slack fit of (c_p) against the scale C h^p p! M_p.
 
@@ -686,14 +695,7 @@ def lambda_fit(values: Sequence[float], M: WeightSequence) -> LambdaFit:
     """
     if len(values) < 9:
         raise ValidationError("lambda_fit: need at least orders 0..8")
-    ratios = []
-    for p, c in enumerate(values):
-        a = abs(c)
-        if a == 0.0:
-            ratios.append(-math.inf)
-        else:
-            ratios.append(math.log(a) - math.lgamma(p + 1) - M.log_M(p))
-    fit = fit_growth_envelope(ratios)
+    fit = fit_growth_envelope(_log_ratios(values, M))
     note = fit.note if fit.ok else (
         f"values not in the weighted class at this horizon; {fit.note}"
     )
@@ -1126,13 +1128,7 @@ def taylor_bound_check(
             a = abs(derivs[p])
             if a > sup[p]:
                 sup[p] = a
-    ratios = [
-        (math.log(sup[p]) - math.lgamma(p + 1) - M.log_M(p))
-        if sup[p] > 0.0
-        else -math.inf
-        for p in range(order_cap + 1)
-    ]
-    fit = fit_growth_envelope(ratios, trend_tol=math.inf)
+    fit = fit_growth_envelope(_log_ratios(sup, M), trend_tol=math.inf)
     log_h, log_C = fit.log_h, fit.log_C
     witness = None
     for p in range(order_cap + 1):

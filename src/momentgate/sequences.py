@@ -259,7 +259,8 @@ class BlockProfile:
     Within each delta-block, log m_q ~ log m_a + slope*(log q - log a) where
     slope = delta*scale + shift (delta in {2, 3}); scale collects power()
     exponents along the derivation tree and shift counts hat (+1) / check (-1)
-    wrappers.
+    wrappers. example38 carries BlockProfile(1.0, 0.0), and each derivation
+    composes its base's profile once, as it builds the derived sequence.
     """
 
     scale: float
@@ -276,19 +277,10 @@ class BlockProfile:
             segs.append((EX38_Q[j] + 1, EX38_K[j + 1], 2))
         return segs
 
-
-def block_profile(spec: SequenceSpec) -> Optional[BlockProfile]:
-    """BlockProfile for example38 under hat/check/power wrappers, else None."""
-    if isinstance(spec, Example38Spec):
-        return BlockProfile(scale=1.0, shift=0.0)
-    if isinstance(spec, DerivedSpec) and spec.op in _DERIVATIONS:
-        inner = block_profile(spec.base)
-        if inner is None:
-            return None
-        rule = _DERIVATIONS[spec.op]
-        scale = spec.s if rule.scaled else 1.0
-        return BlockProfile(scale=inner.scale * scale, shift=inner.shift * scale + rule.shift)
-    return None  # dc_minorant: cumulative, no closed block form
+    def boundaries(self) -> list[int]:
+        """The block ends k_j and q_j for j <= 8, in increasing order: the
+        indices where the local slope changes, which the probes visit."""
+        return [end for j in range(EX38_LEVELS - 1) for end in (EX38_K[j], EX38_Q[j])]
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +305,7 @@ class WeightSequence:
         name: str,
         closed_M: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         power_exponent: Optional[float] = None,
+        block: Optional[BlockProfile] = None,
     ):
         self.spec = spec
         self.name = name
@@ -327,6 +320,8 @@ class WeightSequence:
         # e with log m_p = e * log(p+1) at every p, or None: the power law
         # that omega_evaluator's closed-form Poisson points read
         self.power_exponent = power_exponent
+        # the delta-block profile of the example38 families, or None
+        self._block = block
         # prefix[p] = log M_p, grown in chunks whose sums keep the bits of a
         # term-by-term loop and never past the length callers asked for, so
         # values depend neither on the order nor on the granularity of
@@ -491,7 +486,7 @@ class WeightSequence:
         return self.metadata.get(cond) is False
 
     def block_profile(self) -> Optional[BlockProfile]:
-        return block_profile(self.spec)
+        return self._block
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.name})"
@@ -543,6 +538,7 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
             lambda p: _mapped(example38_log_m, p),
             {"lc": True, "mg": True, "snq": True},
             "example38",
+            block=BlockProfile(1.0, 0.0),
         )
 
     if isinstance(spec, ExplicitSpec):
@@ -628,7 +624,7 @@ def _derive_fresh(seq: WeightSequence, op: str, s: Optional[float]) -> WeightSeq
 def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence:
     """The derived sequence for a _DERIVATIONS op: log m'_p = scale * log m_p
     + shift * log(p+1) and log M'_p = scale * log M_p + shift * log p!, so a
-    power law e becomes scale * e + shift.
+    power law e becomes scale * e + shift, and so does each block slope.
 
     The increments read the base's stored quotients; the closed forms compose
     the base's, and are None where it has none. hat/check only shift and
@@ -659,12 +655,13 @@ def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence
     else:
         closed_m = f_m and (lambda p: scale * f_m(p))
         closed_M = f_M and (lambda p: scale * f_M(p))
-    e = base.power_exponent
+    e, b = base.power_exponent, base.block_profile()
     meta = {cond: True for cond in rule.keeps_true if base.certifies(cond)}
     meta.update({cond: False for cond in rule.keeps_false if base.refutes(cond)})
     return WeightSequence(
         DerivedSpec(op, base.spec, s), inc_array, closed_m, meta, name, closed_M,
         power_exponent=None if e is None else scale * e + shift,
+        block=None if b is None else BlockProfile(b.scale * scale, b.shift * scale + shift),
     )
 
 

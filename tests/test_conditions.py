@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from momentgate import (
     DerivedSpec,
+    Example38Spec,
     ExplicitSpec,
     GevreySpec,
     QGevreySpec,
@@ -313,3 +314,61 @@ def test_classify_builds_each_working_set_array_once(monkeypatch):
     assert np.array_equal(_bits(D), _bits(ws.x + ws.logm))
     assert len(fits) == 2 and sum(f is D for f in fits) == 1 and sum(f is ws.logm for f in fits) == 1
     assert not (D.flags.writeable or ws.logm.flags.writeable or ws.x.flags.writeable)
+
+
+_BLOCK_SPECS = {
+    "example38": Example38Spec(),
+    "power_0.5": DerivedSpec("power", Example38Spec(), 0.5),
+    "hat": DerivedSpec("hat", Example38Spec()),
+    "check": DerivedSpec("check", Example38Spec()),
+    "nested_power": DerivedSpec("power", DerivedSpec("power", Example38Spec(), 0.5), 3.0),
+}
+
+
+@pytest.mark.parametrize("beta", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("name", sorted(_BLOCK_SPECS))
+def test_block_log_suffix_matches_a_sum_over_every_segment(name, beta):
+    # at each probe of _sup_series, log_T(p) has the bits of summing every
+    # segment reaching p from max(start, p, cap), as each one was summed anew
+    seq = make_sequence(_BLOCK_SPECS[name])
+    profile, cap = seq.block_profile(), conditions.BLOCK_DIRECT_CAP
+    probes = [0, 1, 2] + [4**k for k in range(1, 6)] + [b for b in profile.boundaries() if b >= cap]
+    assert max(probes[:8]) < cap
+    for alpha in (0.0, 1.0):
+        parts = conditions._block_parts(seq, profile, alpha, beta)
+        log_T = conditions._block_log_suffix(seq, profile, parts, alpha, beta)
+        direct, segments = parts
+        suffix = numerics.logsumexp_suffix(direct)
+        beyond = float(np.logaddexp.reduce(np.array([s for *_, s in segments])))
+        for p in probes:
+            if p < cap:
+                want = float(np.logaddexp(suffix[p], beyond))
+            else:
+                want = float(np.logaddexp.reduce(np.array([
+                    conditions._segment_log_sum(seq, profile, max(a, p, cap), b, delta, alpha, beta)
+                    for a, b, delta in profile.segments()
+                    if b >= p
+                ])))
+            assert log_T(p).hex() == want.hex(), (p, alpha)
+
+
+def test_gamma_check_on_example38_builds_its_block_parts_once(monkeypatch):
+    # the series report and the suffix sums read one set of parts, and each
+    # probe past the cap sums again only its own segment: 14 segments reach
+    # the cap and 13 block ends lie past it
+    calls = {"parts": 0, "segments": 0}
+    block_parts, segment_log_sum = conditions._block_parts, conditions._segment_log_sum
+
+    def counted_parts(*args):
+        calls["parts"] += 1
+        return block_parts(*args)
+
+    def counted_segment(*args):
+        calls["segments"] += 1
+        return segment_log_sum(*args)
+
+    monkeypatch.setattr(conditions, "_block_parts", counted_parts)
+    monkeypatch.setattr(conditions, "_segment_log_sum", counted_segment)
+    verdict = check_gamma_beta(make_sequence(Example38Spec()), 1.0, horizon=10_000)
+    assert verdict.status is Status.HOLDS_AT_HORIZON
+    assert calls == {"parts": 1, "segments": 27}

@@ -265,6 +265,76 @@ def test_derive_power_scales_and_composes():
         derive(base, "frobnicate")
 
 
+def _walked_block_profile(spec):
+    """The block profile by a walk over the spec tree: example38 is (1, 0),
+    and each hat / check / power(s) maps (scale, shift) to (scale * k,
+    shift * k + c) with k = s for power and 1 otherwise, c = +1, -1, 0."""
+    if isinstance(spec, Example38Spec):
+        return sequences.BlockProfile(scale=1.0, shift=0.0)
+    if isinstance(spec, DerivedSpec) and spec.op in ("hat", "check", "power"):
+        inner = _walked_block_profile(spec.base)
+        if inner is None:
+            return None
+        scale = spec.s if spec.op == "power" else 1.0
+        shift = {"hat": 1, "check": -1, "power": 0}[spec.op]
+        return sequences.BlockProfile(scale=inner.scale * scale, shift=inner.shift * scale + shift)
+    return None
+
+
+def _profile_bits(profile):
+    return None if profile is None else (profile.scale.hex(), profile.shift.hex())
+
+
+_BLOCK_OPS = (("hat", None), ("check", None), ("power", 0.5), ("power", 3.0), ("dc_minorant", None))
+
+
+def test_block_profile_is_composed_per_derivation():
+    # every tree up to depth 3 over three bases, built from its spec and by
+    # derive (which collapses check/hat and merges nested powers)
+    def trees(spec, depth):
+        yield spec
+        if depth:
+            for op, s in _BLOCK_OPS:
+                yield from trees(DerivedSpec(op, spec, s), depth - 1)
+
+    def derived(seq, spec):
+        if not isinstance(spec, DerivedSpec):
+            return seq
+        base = derived(seq, spec.base)
+        return dc_minorant(base) if spec.op == "dc_minorant" else derive(base, spec.op, spec.s)
+
+    bases = (Example38Spec(), GevreySpec(s=1.5), DerivedSpec("dc_minorant", Example38Spec()))
+    seen = 0
+    for base in bases:
+        root = make_sequence(base)
+        for spec in trees(base, 3):
+            built = make_sequence(spec)
+            assert _profile_bits(built.block_profile()) == _profile_bits(_walked_block_profile(spec))
+            chained = derived(root, spec)
+            want = _walked_block_profile(chained.spec)
+            assert _profile_bits(chained.block_profile()) == _profile_bits(want)
+            seen += want is not None
+    assert seen > 0
+    ex38 = make_sequence(Example38Spec())
+    collapsed = derive(derive(ex38, "hat"), "check")
+    assert collapsed.spec == Example38Spec()
+    assert _profile_bits(collapsed.block_profile()) == (1.0.hex(), 0.0.hex())
+    merged = derive(derive(derive(ex38, "check"), "power", 0.5), "power", 3.0)
+    assert merged.spec == DerivedSpec("power", DerivedSpec("check", Example38Spec()), 1.5)
+    assert _profile_bits(merged.block_profile()) == (1.5.hex(), (-1.5).hex())
+    for plain in (GevreySpec(s=1.5), QGevreySpec(q=2.0), DerivedSpec("hat", GevreySpec(s=1.0))):
+        assert make_sequence(plain).block_profile() is None
+    assert dc_minorant(ex38).block_profile() is None
+
+
+def test_block_profile_boundaries_are_the_probed_block_ends():
+    from momentgate.sequences import EX38_K, EX38_Q
+
+    ends = sequences.BlockProfile(scale=0.5, shift=-1.0).boundaries()
+    assert set(ends) == {EX38_K[j] for j in range(9)} | {EX38_Q[j] for j in range(9)}
+    assert ends == sorted(ends) and len(ends) == 18
+
+
 def test_dc_minorant_contained_and_bounded():
     base = make_sequence(GevreySpec(s=2.0))
     n = dc_minorant(base)
