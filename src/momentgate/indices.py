@@ -95,6 +95,13 @@ def _min_pairwise_slope(seq: WeightSequence, horizon: int) -> float:
     return best
 
 
+def _check_tol(tol: float, where: str) -> None:
+    """Refuse a bracket tolerance that is not greater than 0 (nan included):
+    a bisection would never get its bracket that narrow."""
+    if not (tol > 0):
+        raise ValidationError(f"{where}: tol must be > 0")
+
+
 # ---------------------------------------------------------------------------
 # gamma
 # ---------------------------------------------------------------------------
@@ -110,10 +117,10 @@ def gamma_index(
     Bisection over (0, INDEX_MAX]; holding at INDEX_MAX itself reports the
     +infinity marker in `upper`. An inconclusive probe is retried at two
     nudged positions; if neither settles, the bracket stops shrinking and
-    converged is false.
+    converged is false. The bisection also stops when a pass leaves the
+    bracket unchanged: one ulp wide, its midpoint rounds onto an end.
     """
-    if not (tol > 0):
-        raise ValidationError("gamma_index: tol must be > 0")
+    _check_tol(tol, "gamma_index")
     samples: list[tuple[str, str]] = []
 
     def probe(beta: float) -> Status:
@@ -130,6 +137,7 @@ def gamma_index(
             converged = False
         lower, upper = 0.0, INDEX_MAX
         while upper - lower > tol:
+            bracket = (lower, upper)
             mid = 0.5 * (lower + upper)
             st = probe(mid)
             if st == Status.INCONCLUSIVE:
@@ -138,22 +146,20 @@ def gamma_index(
                 st_lo = probe(mid - 0.25 * gap)
                 if st_lo == Status.HOLDS_AT_HORIZON:
                     lower = mid - 0.25 * gap
-                    continue
-                st_hi = probe(mid + 0.25 * gap)
-                if st_hi == Status.FAILS:
-                    upper = mid + 0.25 * gap
-                    continue
-                if st_lo == Status.FAILS:
-                    upper = mid - 0.25 * gap
-                    continue
-                if st_hi == Status.HOLDS_AT_HORIZON:
-                    lower = mid + 0.25 * gap
-                    continue
-                break
-            if st == Status.FAILS:
+                else:
+                    st_hi = probe(mid + 0.25 * gap)
+                    if st_hi == Status.FAILS:
+                        upper = mid + 0.25 * gap
+                    elif st_lo == Status.FAILS:
+                        upper = mid - 0.25 * gap
+                    elif st_hi == Status.HOLDS_AT_HORIZON:
+                        lower = mid + 0.25 * gap
+            elif st == Status.FAILS:
                 upper = mid
             else:
                 lower = mid
+            if (lower, upper) == bracket:
+                break
 
     cross = _min_pairwise_slope(seq, horizon)
     if math.isinf(upper):
@@ -191,7 +197,8 @@ def _omega_series_value(
     """(lower, upper) for the convergence threshold of sum m_p^(-1/mu).
 
     Delta-block families are bisected with the blockwise classifier as the
-    oracle; otherwise the threshold is read off the fitted tail exponent.
+    oracle, until the bracket is within tol or a pass leaves it unchanged;
+    otherwise the threshold is read off the fitted tail exponent.
     """
     if seq.block_profile() is not None:
         lo, hi = 0.0, INDEX_MAX
@@ -200,6 +207,7 @@ def _omega_series_value(
         if rep.kind == "convergent":
             return INDEX_MAX, math.inf
         while hi - lo > tol:
+            bracket = (lo, hi)
             mid = 0.5 * (lo + hi)
             rep = classify_power_series(seq, horizon, 0.0, mid)
             samples.append((f"mu={mid:g}", rep.kind))
@@ -209,6 +217,8 @@ def _omega_series_value(
                 hi = mid
             else:
                 return math.nan, math.nan
+            if (lo, hi) == bracket:
+                break
         return lo, hi
     _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
     exponent = tail_decision(fit, 1.0, len(logm))[1]
@@ -230,6 +240,7 @@ def omega_index(
     growing by 50% per half-ladder above INDEX_MAX. The series route locates the
     convergence threshold; converged requires agreement.
     """
+    _check_tol(tol, "omega_index")
     if horizon < 64:
         raise ValidationError("omega_index: horizon must be >= 64")
     probes = _probe_ladder(seq, horizon)
@@ -243,38 +254,19 @@ def omega_index(
     s_lo, s_hi = _omega_series_value(seq, horizon, tol, samples)
 
     if growing:
-        series_beyond = (not math.isnan(s_lo)) and s_lo >= INDEX_MAX
-        return IndexEstimate(
-            index="omega",
-            lower=INDEX_MAX,
-            upper=math.inf,
-            estimate=math.inf,
-            method="omega_liminf",
-            cross_method="omega_series",
-            cross_value=s_lo,
-            samples=tuple(samples),
-            converged=series_beyond,
+        lower, upper, estimate, cross_value = INDEX_MAX, math.inf, math.inf, s_lo
+        converged = (not math.isnan(s_lo)) and s_lo >= INDEX_MAX
+    elif math.isnan(s_lo):
+        lower = upper = estimate = tail_min
+        cross_value, converged = math.nan, False
+    else:
+        cross_value = s_hi if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
+        lower, upper = min(tail_min, s_lo), max(tail_min, s_hi)
+        converged = (
+            not math.isinf(cross_value)
+            and abs(tail_min - cross_value) <= tol * max(1.0, abs(tail_min))
         )
-    if math.isnan(s_lo):
-        return IndexEstimate(
-            index="omega",
-            lower=tail_min,
-            upper=tail_min,
-            estimate=tail_min,
-            method="omega_liminf",
-            cross_method="omega_series",
-            cross_value=math.nan,
-            samples=tuple(samples),
-            converged=False,
-        )
-    series_mid = s_hi if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
-    lower = min(tail_min, s_lo)
-    upper = max(tail_min, s_hi)
-    agree = (
-        not math.isinf(series_mid)
-        and abs(tail_min - series_mid) <= tol * max(1.0, abs(tail_min))
-    )
-    estimate = 0.5 * (lower + upper) if not math.isinf(upper) else tail_min
+        estimate = 0.5 * (lower + upper) if not math.isinf(upper) else tail_min
     return IndexEstimate(
         index="omega",
         lower=lower,
@@ -282,7 +274,7 @@ def omega_index(
         estimate=estimate,
         method="omega_liminf",
         cross_method="omega_series",
-        cross_value=series_mid,
+        cross_value=cross_value,
         samples=tuple(samples),
-        converged=agree,
+        converged=converged,
     )

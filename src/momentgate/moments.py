@@ -86,14 +86,12 @@ class TestFunction:
     phi(x), phi'(x), ..., phi^(n)(x).
     """
 
-    kind: str
     name: str
     evaluator: Callable[[float], float]
     support: Tuple[float, float]
     decay_exponent: float
     log_envelope: Optional[Callable[[float], float]] = None
     taylor_evaluator: Optional[Callable[[float, int], Tuple[float, ...]]] = None
-    s: Optional[float] = None
 
     @property
     def compact(self) -> bool:
@@ -116,13 +114,11 @@ def make_exp_power(s: float) -> TestFunction:
         return -(x**inv_s) if x > 0 else 0.0
 
     return TestFunction(
-        kind="exp_power",
         name=f"exp_power({s:g})",
         evaluator=phi,
         support=(0.0, math.inf),
         decay_exponent=math.inf,
         log_envelope=env,
-        s=s,
     )
 
 
@@ -140,7 +136,6 @@ def make_bump01() -> TestFunction:
         return math.exp(a) if a > _LOG_TINY else 0.0
 
     return TestFunction(
-        kind="bump01",
         name="bump01",
         evaluator=phi,
         support=(0.0, 1.0),
@@ -192,7 +187,6 @@ def make_user(
             return _b - _d * math.log1p(max(x, 0.0))
 
     return TestFunction(
-        kind="user",
         name=name,
         evaluator=evaluator,
         support=(float(lo), float(hi)),
@@ -1074,7 +1068,6 @@ def derivative_function(phi: TestFunction) -> TestFunction:
         return base(x, order + 1)[1:]
 
     return TestFunction(
-        kind="user",
         name=f"{phi.name}'",
         evaluator=ev,
         support=phi.support,

@@ -45,6 +45,7 @@ arithmetic plus asymptotic harmonic numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -67,19 +68,46 @@ MAX_DERIVED_DEPTH = 64
 # ---------------------------------------------------------------------------
 
 
+def _number(value: object, field: str, where: str, above: Optional[float] = None) -> float:
+    """A spec field's value as a float: any real number but a bool (numpy
+    scalars included) that is finite as a float and, when `above` is given,
+    greater than it. Anything else is a ValidationError naming the field."""
+    # float and int first: the ABC check alone costs several times more
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            x = math.nan
+        if math.isfinite(x):
+            if above is None or x > above:
+                return x
+            raise ValidationError(f"{where}: field '{field}' must be > {above:g}")
+    raise ValidationError(f"{where}: field '{field}' must be a finite number")
+
+
 @dataclass(frozen=True)
 class GevreySpec:
     s: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "s", _number(self.s, "s", "gevrey", above=0.0))
 
 
 @dataclass(frozen=True)
 class QGevreySpec:
     q: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "q", _number(self.q, "q", "q_gevrey", above=1.0))
+
 
 @dataclass(frozen=True)
 class Example38Spec:
     pass
+
+
+# each explicit tail rule and the tail field that holds its value
+_TAIL_FIELDS = {"arithmetic": "step", "power": "exponent"}
 
 
 @dataclass(frozen=True)
@@ -88,12 +116,28 @@ class ExplicitSpec:
     tail_rule: str  # "arithmetic" | "power"
     tail_value: float
 
+    def __post_init__(self):
+        if not isinstance(self.log_m, (list, tuple)) or not self.log_m:
+            raise ValidationError("explicit: field 'log_m' must be a nonempty list")
+        head = tuple(_number(v, f"log_m[{i}]", "explicit") for i, v in enumerate(self.log_m))
+        field = _TAIL_FIELDS.get(self.tail_rule) if isinstance(self.tail_rule, str) else None
+        if field is None:
+            raise ValidationError("explicit: field 'tail.rule' must be 'arithmetic' or 'power'")
+        object.__setattr__(self, "log_m", head)
+        object.__setattr__(self, "tail_value", _number(self.tail_value, field, "explicit.tail"))
+
 
 @dataclass(frozen=True)
 class DerivedSpec:
     op: str  # "hat" | "check" | "power" | "dc_minorant"
     base: "SequenceSpec"
     s: Optional[float] = None  # exponent, power op only
+
+    def __post_init__(self):
+        if self.op not in ("hat", "check", "power", "dc_minorant"):
+            raise ValidationError("derived: field 'op' must be hat|check|power|dc_minorant")
+        if self.op == "power":
+            object.__setattr__(self, "s", _number(self.s, "s", "derived", above=0.0))
 
 
 SequenceSpec = Union[GevreySpec, QGevreySpec, Example38Spec, ExplicitSpec, DerivedSpec]
@@ -108,11 +152,7 @@ def spec_to_json(spec: SequenceSpec) -> dict:
     if isinstance(spec, Example38Spec):
         return {"kind": "example38"}
     if isinstance(spec, ExplicitSpec):
-        tail = {"rule": spec.tail_rule}
-        if spec.tail_rule == "arithmetic":
-            tail["step"] = spec.tail_value
-        else:
-            tail["exponent"] = spec.tail_value
+        tail = {"rule": spec.tail_rule, _TAIL_FIELDS[spec.tail_rule]: spec.tail_value}
         return {"kind": "explicit", "log_m": list(spec.log_m), "tail": tail}
     if isinstance(spec, DerivedSpec):
         out = {"kind": "derived", "op": spec.op, "base": spec_to_json(spec.base)}
@@ -128,61 +168,31 @@ def spec_from_json(data: object) -> SequenceSpec:
 
 
 def _parse_spec(data: object, depth: int) -> SequenceSpec:
+    """Map JSON onto the spec constructors, which check every field."""
     if not isinstance(data, dict):
-        raise ValidationError("spec must be a JSON object")
+        where = "derived: field 'base'" if depth else "spec"
+        raise ValidationError(f"{where} must be a JSON object")
     kind = data.get("kind")
     if kind == "gevrey":
-        s = _require_number(data, "s")
-        if s <= 0:
-            raise ValidationError("gevrey: field 's' must be > 0")
-        return GevreySpec(s=float(s))
+        return GevreySpec(data.get("s"))
     if kind == "q_gevrey":
-        q = _require_number(data, "q")
-        if q <= 1:
-            raise ValidationError("q_gevrey: field 'q' must be > 1")
-        return QGevreySpec(q=float(q))
+        return QGevreySpec(data.get("q"))
     if kind == "example38":
         return Example38Spec()
     if kind == "explicit":
-        values = data.get("log_m")
-        if not isinstance(values, list) or not values:
-            raise ValidationError("explicit: field 'log_m' must be a nonempty list")
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError(f"explicit: field 'log_m[{i}]' must be a finite number")
         tail = data.get("tail")
         if not isinstance(tail, dict):
             raise ValidationError("explicit: field 'tail' must be an object")
         rule = tail.get("rule")
-        if rule == "arithmetic":
-            step = _require_number(tail, "step", where="explicit.tail")
-            return ExplicitSpec(tuple(float(v) for v in values), "arithmetic", float(step))
-        if rule == "power":
-            expo = _require_number(tail, "exponent", where="explicit.tail")
-            return ExplicitSpec(tuple(float(v) for v in values), "power", float(expo))
-        raise ValidationError("explicit: field 'tail.rule' must be 'arithmetic' or 'power'")
+        field = _TAIL_FIELDS.get(rule) if isinstance(rule, str) else None
+        return ExplicitSpec(data.get("log_m"), rule, tail.get(field))
     if kind == "derived":
-        op = data.get("op")
-        if op not in ("hat", "check", "power", "dc_minorant"):
-            raise ValidationError("derived: field 'op' must be hat|check|power|dc_minorant")
         if depth >= MAX_DERIVED_DEPTH:
             raise ValidationError(f"derived: field 'base' nests deeper than {MAX_DERIVED_DEPTH}")
+        op = data.get("op")
         base = _parse_spec(data.get("base"), depth + 1)
-        if op == "power":
-            s = _require_number(data, "s", where="derived")
-            if s <= 0:
-                raise ValidationError("derived: field 's' must be > 0")
-            return DerivedSpec(op="power", base=base, s=float(s))
-        return DerivedSpec(op=op, base=base)
+        return DerivedSpec(op, base, data.get("s") if op == "power" else None)
     raise ValidationError(f"spec: field 'kind' has unknown value {kind!r}")
-
-
-def _require_number(data: dict, field: str, where: str = "") -> float:
-    v = data.get(field)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        prefix = f"{where}: " if where else ""
-        raise ValidationError(f"{prefix}field '{field}' must be a finite number")
-    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +512,6 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
     recursively and kept as given, since reports echo the spec: hat(check(X))
     stays a derived sequence. Only derive() collapses check/hat cancellations."""
     if isinstance(spec, GevreySpec):
-        if spec.s <= 0:
-            raise ValidationError("gevrey: field 's' must be > 0")
         s = spec.s
         return WeightSequence(
             spec,
@@ -516,8 +524,6 @@ def make_sequence(spec: SequenceSpec) -> WeightSequence:
         )
 
     if isinstance(spec, QGevreySpec):
-        if spec.q <= 1:
-            raise ValidationError("q_gevrey: field 'q' must be > 1")
         logq = math.log(spec.q)
 
         return WeightSequence(
@@ -599,8 +605,8 @@ def derive(seq: WeightSequence, op: str, s: Optional[float] = None) -> WeightSeq
     rule = _DERIVATIONS.get(op)
     if rule is None:
         raise ValidationError(f"derive: unknown op {op!r} (expected hat|check|power)")
-    if rule.scaled and (s is None or not (s > 0) or not math.isfinite(s)):
-        raise ValidationError("derive: power requires a finite exponent s > 0")
+    if rule.scaled:
+        s = DerivedSpec(op, seq.spec, s).s
     key = (op, s if rule.scaled else None)
     hit = seq._derived.get(key)
     if hit is None:
@@ -633,8 +639,6 @@ def _derive(base: WeightSequence, op: str, s: Optional[float]) -> WeightSequence
     """
     rule = _DERIVATIONS[op]
     if rule.scaled:
-        if s is None or not (s > 0) or not math.isfinite(s):
-            raise ValidationError("derived: field 's' must be a finite number > 0")
         scale, name = s, f"power({base.name},{s:g})"
     else:
         scale, s, name = 1.0, None, f"{op}({base.name})"

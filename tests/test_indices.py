@@ -1,9 +1,14 @@
 """Index estimators: brackets for gamma and omega on the stock families."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import momentgate
 from momentgate import indices, numerics
 from momentgate import (
     DerivedSpec,
@@ -134,3 +139,52 @@ def test_status_probes_replay_the_full_check(name, horizon, monkeypatch):
         assert samples["tail_exponent"] == f"{exponent:.6g}"
         _, logm, _, fit = tail_series(seq, horizon, 0.0, 1.0)
         assert tail_decision(fit, 1.0, len(logm))[1] == exponent
+
+
+def _run_child(argv, timeout=60):
+    """Run argv in a fresh interpreter that imports this checkout; a call
+    that never returns fails the test through subprocess.TimeoutExpired."""
+    src = os.path.dirname(os.path.dirname(momentgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("MOMENTGATE_CACHE_DIR", None)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_gamma_bisection_ends_once_the_bracket_stops_moving():
+    # at tol 1e-300 the bracket reaches one ulp, where its midpoint rounds
+    # onto an end; the bisection used to probe that midpoint forever
+    spec = '{"kind":"gevrey","s":1.5}'
+    done = _run_child(
+        ["-m", "momentgate.cli", "analyze", spec, "--horizon", "4096", "--tol", "1e-300", "--format", "json"]
+    )
+    assert done.returncode in (0, 2), done.stderr
+    gamma = json.loads(done.stdout)["indices"]["gamma"]
+    # the bisection settles just below the threshold 1.5, one ulp wide
+    assert gamma["upper"] == math.nextafter(gamma["lower"], math.inf)
+    assert abs(gamma["lower"] - 1.5) < 1e-6
+
+
+@pytest.mark.parametrize("tol", ["-1.0", "0.0", "float('nan')"])
+def test_omega_index_refuses_a_tolerance_not_above_zero(tol):
+    probe = (
+        "from momentgate import Example38Spec, ValidationError, make_sequence, omega_index\n"
+        "try:\n"
+        f"    omega_index(make_sequence(Example38Spec()), tol={tol})\n"
+        "except ValidationError as e:\n"
+        "    print(e)\n"
+    )
+    done = _run_child(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "omega_index: tol must be > 0"
+
+
+def test_omega_block_bisection_ends_once_the_bracket_stops_moving():
+    probe = (
+        "from momentgate import Example38Spec, make_sequence, omega_index\n"
+        "est = omega_index(make_sequence(Example38Spec()), tol=1e-300)\n"
+        "print(est.lower, est.upper)\n"
+    )
+    done = _run_child(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    lower, upper = map(float, done.stdout.split())
+    assert lower <= 2.5 <= upper

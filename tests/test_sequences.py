@@ -1,6 +1,8 @@
 """Sequence constructors: spec parsing, evaluators, derivations."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from momentgate import (
     spec_to_json,
 )
 from momentgate import sequences
+from momentgate.cli import main
 from momentgate.sequences import MAX_DERIVED_DEPTH
 
 
@@ -474,3 +477,139 @@ def test_log_M_extended_names_the_first_index_past_the_limit():
     with pytest.raises(EvaluationError, match="^index 2000001 exceeds"):
         seq.log_M_extended(np.array([1_999_990, 2_000_005, 2_000_001]))
     assert len(seq._prefix) == 1  # refused before growing anything
+
+
+# a JSON integer literal of 400 digits: an int that no float can hold
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "gevrey", "s": HUGE}, "'s'"),
+        ({"kind": "q_gevrey", "q": HUGE}, "'q'"),
+        ({"kind": "explicit", "log_m": [0.0], "tail": {"rule": "arithmetic", "step": HUGE}}, "'step'"),
+        ({"kind": "explicit", "log_m": [0.0], "tail": {"rule": "power", "exponent": HUGE}}, "'exponent'"),
+        ({"kind": "explicit", "log_m": [0.0, HUGE], "tail": {"rule": "power", "exponent": 1}}, "'log_m[1]'"),
+        ({"kind": "derived", "op": "power", "s": HUGE, "base": {"kind": "example38"}}, "'s'"),
+    ],
+    ids=["s", "q", "step", "exponent", "log_m", "derived_s"],
+)
+def test_int_past_the_float_range_is_a_field_error(capsys, data, field):
+    with pytest.raises(ValidationError, match=re.escape(field + " must be a finite number")):
+        spec_from_json(data)
+    assert main(["analyze", json.dumps(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and field in err and "Traceback" not in err
+
+
+def test_log_m_refuses_booleans():
+    data = {"kind": "explicit", "log_m": [True, False], "tail": {"rule": "power", "exponent": 1.0}}
+    with pytest.raises(ValidationError, match="'log_m\\[0\\]'"):
+        spec_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ExplicitSpec((), "power", 1.0), "'log_m'"),
+        (lambda: ExplicitSpec((0.0,), "geometric", 1.0), "'tail.rule'"),
+        (lambda: DerivedSpec("flip", GevreySpec(1.0)), "'op'"),
+    ],
+    ids=["empty_head", "unknown_tail_rule", "unknown_op"],
+)
+def test_specs_built_in_python_are_checked(build, field):
+    with pytest.raises(ValidationError, match=field):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: GevreySpec(math.nan), lambda: GevreySpec(math.inf), lambda: GevreySpec(True),
+     lambda: QGevreySpec(math.inf)],
+    ids=["gevrey_nan", "gevrey_inf", "gevrey_bool", "q_gevrey_inf"],
+)
+def test_non_finite_and_bool_parameters_are_refused(build):
+    with pytest.raises(ValidationError, match="must be a finite number"):
+        build()
+
+
+def test_numpy_scalar_parameters_still_build():
+    g, q = GevreySpec(np.float64(2.0)), QGevreySpec(np.int64(2))
+    assert (g.s, q.q) == (2.0, 2.0)
+    assert make_sequence(g).log_m(3) == make_sequence(GevreySpec(2.0)).log_m(3)
+
+
+# ints past the float range, also drawn on their own below
+_BIG = st.sampled_from([HUGE, -HUGE, 2**1024])
+_ODD_VALUES = st.one_of(
+    _BIG,
+    st.sampled_from([1e300, -1e300, 1e-300, -1e-300, -0.0, 0.0, 0.5, 1.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+# valid in every numeric field
+_GOOD = st.one_of(st.floats(min_value=1.01, max_value=4.0), st.integers(2, 4))
+_EXTRA_KEYS = {"extra": _ODD_VALUES}
+
+
+@st.composite
+def _json_specs(draw):
+    """JSON-like trees over every spec kind: odd values in every field,
+    unknown keys, and derivation chains up to and past MAX_DERIVED_DEPTH.
+    Odd numbers and odd structure are switched on separately, so that an
+    odd number is often reached through a valid structure, and valid specs
+    of every kind and depth come up too."""
+    odd_fields, odd_shape = draw(st.sampled_from([(a, b) for a in (False, True) for b in (False, True)]))
+    field = st.one_of(_GOOD, _BIG, _ODD_VALUES) if odd_fields else _GOOD
+    rules = st.sampled_from(["arithmetic", "power"])
+    tail = st.fixed_dictionaries({"rule": rules, "step": field, "exponent": field}, optional=_EXTRA_KEYS)
+    head = st.lists(field, min_size=1, max_size=4)
+    leaves = [
+        st.fixed_dictionaries({"kind": st.just("gevrey"), "s": field}, optional=_EXTRA_KEYS),
+        st.fixed_dictionaries({"kind": st.just("q_gevrey"), "q": field}, optional=_EXTRA_KEYS),
+        st.fixed_dictionaries({"kind": st.just("example38")}, optional=_EXTRA_KEYS),
+        st.fixed_dictionaries({"kind": st.just("explicit"), "log_m": head, "tail": tail}, optional=_EXTRA_KEYS),
+    ]
+    ops = st.sampled_from(["hat", "check", "power", "dc_minorant"])
+    if odd_shape:
+        rules = st.one_of(rules, st.just("geometric"), _ODD_VALUES)
+        tail = st.one_of(
+            st.fixed_dictionaries({"rule": rules}, optional={"step": field, "exponent": field, **_EXTRA_KEYS}),
+            _ODD_VALUES,
+        )
+        leaves[3] = st.fixed_dictionaries(
+            {"kind": st.just("explicit")},
+            optional={"log_m": st.one_of(st.lists(field, max_size=4), _ODD_VALUES), "tail": tail},
+        )
+        leaves += [st.fixed_dictionaries({}, optional={"kind": _ODD_VALUES, **_EXTRA_KEYS}), _ODD_VALUES]
+        ops = st.one_of(ops, st.just("flip"), _ODD_VALUES)
+    spec = draw(st.one_of(leaves))
+    layer = st.fixed_dictionaries(
+        {"kind": st.just("derived"), "op": ops, "s": field}, optional=_EXTRA_KEYS
+    )
+    layers = draw(st.lists(layer, max_size=2))
+    # a long chain repeats one drawn layer below the others
+    deep = draw(st.sampled_from([0, 0, 0, MAX_DERIVED_DEPTH - 2, MAX_DERIVED_DEPTH - 1]))
+    if deep:
+        layers += [draw(layer)] * deep
+    for top in reversed(layers):
+        spec = {**top, "base": spec}
+    return spec
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_json_specs())
+def test_spec_from_json_returns_a_round_tripping_spec_or_a_validation_error(data):
+    try:
+        spec = spec_from_json(data)
+    except ValidationError:
+        return
+    text = json.dumps(spec_to_json(spec), allow_nan=False)
+    assert spec_from_json(json.loads(text)) == spec
